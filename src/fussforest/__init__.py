@@ -5,7 +5,8 @@ The package provides four layers that double-check each other:
 - exact counting formulas (binomials, k-ary Catalan and forest numbers,
   closed-form identity evaluators),
 - exhaustive deterministic tree and forest generators,
-- a weight-preserving bijection between the two tree families,
+- a weight-preserving bijection between the two tree families, computed
+  as a prefix code on preorder forms,
 - a truncated power-series engine for the generating-function route.
 
 ``python -m fussforest verify --suite all`` runs every cross-check.
@@ -31,6 +32,9 @@ from .trees import (
     ParseError,
     SizeCapError,
     ValidationReport,
+    binary_from_word,
+    binary_word,
+    binary_word_text,
     color_sum,
     enumerate_binary,
     enumerate_colored_ternary,
@@ -40,23 +44,22 @@ from .trees import (
     leaf_count,
     node,
     parse_binary,
+    parse_binary_word,
     parse_forest,
     parse_ternary,
+    parse_ternary_preorder,
     serialize,
     serialize_forest,
+    ternary_from_preorder,
+    ternary_preorder,
+    ternary_preorder_text,
     ternary_weight,
     to_dot,
     validate,
 )
 from .bijection import (
-    BijectionError,
-    TreePath,
-    binarize,
-    contract_l_paths,
-    contract_r_paths,
-    expand_colors,
-    maximal_l_paths,
-    maximal_r_paths,
+    decode,
+    encode,
     phi,
     phi_forest,
     phi_inverse,

@@ -3,17 +3,23 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
 family mismatch.  Stdout is deterministic for identical invocations; counts
-and timing go to stderr.
+and timing go to stderr.  When the reader of stdout goes away early (as in
+``fussforest enumerate ... | head -1``), the command stops quietly with
+exit 0: what was written is all the reader asked for.
+
+``map`` reads every line before it writes anything, so a line that does not
+parse, or parses as the other family, leaves no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import trees, verify
-from .bijection import phi, phi_inverse
+from .bijection import decode, encode, phi, phi_inverse
 from .exact import forest_catalan, k_catalan
 from .trees import BINARY, COLORED_TERNARY, ParseError, SizeCapError
 
@@ -125,7 +131,11 @@ def cmd_enumerate(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="ascii").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="ascii") as stream:
+            text = stream.read()
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -133,20 +143,20 @@ def _read_lines(path: str) -> list[str]:
 
 
 def cmd_map(args) -> int:
-    source_parse, target_parse = (
-        (trees.parse_ternary, trees.parse_binary) if args.direction == "t2b"
-        else (trees.parse_binary, trees.parse_ternary)
+    t2b = args.direction == "t2b"
+    parse_source, parse_target = (
+        (trees.parse_ternary_preorder, trees.parse_binary_word) if t2b
+        else (trees.parse_binary_word, trees.parse_ternary_preorder)
     )
-    apply_map = phi if args.direction == "t2b" else phi_inverse
     lines = _read_lines(args.in_path)
     parsed = []
     offset = 0
     for line_no, line in enumerate(lines, start=1):
         try:
-            parsed.append(source_parse(line))
+            parsed.append(parse_source(line))
         except ParseError as err:
             try:
-                target_parse(line)
+                parse_target(line)
             except ParseError:
                 raise ParseError(offset + err.offset, err.expected, err.found) from None
             raise FamilyMismatchError(
@@ -154,13 +164,21 @@ def cmd_map(args) -> int:
         offset += len(line) + 1
     stream, close = _open_out(args.out)
     try:
-        collected = []
-        for index, tree in enumerate(parsed):
-            item = _render(stream, index, apply_map(tree), args.format)
-            if item is not None:
-                collected.append(item)
-        if args.format == "json":
-            stream.write(json.dumps(collected) + "\n")
+        if args.format == "dot":
+            # to_dot walks tree objects, so only this format builds them.
+            build, apply_map = ((trees.ternary_from_preorder, phi) if t2b
+                                else (trees.binary_from_word, phi_inverse))
+            for index, form in enumerate(parsed):
+                stream.write(trees.to_dot(apply_map(build(form)), index))
+        else:
+            apply_map, render = ((encode, trees.binary_word_text) if t2b
+                                 else (decode, trees.ternary_preorder_text))
+            texts = (render(apply_map(form)) for form in parsed)
+            if args.format == "json":
+                stream.write(json.dumps(list(texts)) + "\n")
+            else:
+                for text in texts:
+                    stream.write(text + "\n")
         print(f"mapped {len(parsed)} tree(s)", file=sys.stderr)
     finally:
         if close:
@@ -192,6 +210,13 @@ def main(argv=None) -> int:
     except FamilyMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAMILY
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit-time flush of
+        # what is still buffered does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

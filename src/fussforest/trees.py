@@ -1,4 +1,4 @@
-"""Immutable tree values, exhaustive generators, canonical text format, validation.
+"""Immutable tree values, exhaustive generators, preorder forms, text format, validation.
 
 Two families live here: complete binary trees (every vertex has 0 or 2
 children) and colored complete ternary trees (0 or 3 children, every vertex
@@ -11,11 +11,17 @@ Canonical text format (bit-exact, one tree per line in files):
                   (<left> <right>)     internal, single space separator
   colored ternary <c>                  leaf with color c (decimal, no sign)
                   (<c>: <t1> <t2> <t3>)   internal vertex with color c
+Parsers accept spaces and tabs between tokens and report the offset of the
+first error.  Parsing and rendering go through the preorder forms, without
+recursion, so the text of a tree of any depth can be read and written.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -109,6 +115,8 @@ def ternary_weight(tree: ColoredTernaryTree) -> int:
 
 def _enumeration_cap(max_n: int | None) -> int:
     if max_n is not None:
+        if max_n < 0:
+            raise ValueError(f"max_n must be >= 0, got {max_n}")
         return max_n
     env = os.environ.get(MAX_N_ENV)
     if env is not None:
@@ -332,6 +340,66 @@ def validate(obj, family: str) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# Preorder forms
+# ---------------------------------------------------------------------------
+#
+# The parsers, the renderers and the bijection work on flat preorder forms,
+# so no tree depth reaches Python's recursion limit:
+#   binary word       a str with "1" for an internal vertex and "0" for a leaf
+#   ternary preorder  a list with c for a leaf of color c and ~c (= -1 - c)
+#                     for an internal vertex of color c
+# The functions below take valid forms and trees; validate() checks trees.
+
+def binary_word(tree: BinaryTree) -> str:
+    """Preorder word of a binary tree."""
+    letters = []
+    stack = [tree]
+    while stack:
+        vertex = stack.pop()
+        if vertex.left is None:
+            letters.append("0")
+        else:
+            letters.append("1")
+            stack += (vertex.right, vertex.left)
+    return "".join(letters)
+
+
+def ternary_preorder(tree: ColoredTernaryTree) -> list[int]:
+    """Preorder list of a colored ternary tree; raises ValueError on a negative color."""
+    preorder = []
+    stack = [tree]
+    while stack:
+        vertex = stack.pop()
+        if vertex.color < 0:
+            raise ValueError(f"colors must be >= 0, got {vertex.color}")
+        if vertex.children:
+            preorder.append(~vertex.color)
+            stack += reversed(vertex.children)
+        else:
+            preorder.append(vertex.color)
+    return preorder
+
+
+def binary_from_word(word: str) -> BinaryTree:
+    """The binary tree whose preorder word is `word`."""
+    built = []  # finished subtrees; the next one in preorder on top
+    for letter in reversed(word):
+        built.append(LEAF if letter == "0" else BinaryTree(built.pop(), built.pop()))
+    return built.pop()
+
+
+def ternary_from_preorder(preorder: Sequence[int]) -> ColoredTernaryTree:
+    """The colored ternary tree whose preorder list is `preorder`."""
+    built = []
+    for c in reversed(preorder):
+        if c >= 0:
+            built.append(ColoredTernaryTree(c))
+        else:
+            built.append(ColoredTernaryTree(~c, (built.pop(), built.pop(), built.pop())))
+    return built.pop()
+
+
+# ---------------------------------------------------------------------------
 # Canonical text format
 # ---------------------------------------------------------------------------
 
@@ -345,16 +413,56 @@ class ParseError(ValueError):
         super().__init__(f"offset {offset}: expected {expected}, found {found}")
 
 
+def _error_at(text: str, offset: int, expected: str) -> ParseError:
+    found = repr(text[offset]) if offset < len(text) else "end of input"
+    return ParseError(offset, expected, found)
+
+
+def binary_word_text(word: str) -> str:
+    """Canonical text of a binary preorder word."""
+    out = []
+    on_right = []  # per open vertex: whether its right subtree is being written
+    for letter in word:
+        if letter == "1":
+            out.append("(")
+            on_right.append(False)
+            continue
+        out.append("L")
+        while on_right:
+            if not on_right[-1]:
+                on_right[-1] = True
+                out.append(" ")
+                break
+            on_right.pop()
+            out.append(")")
+    return "".join(out)
+
+
+def ternary_preorder_text(preorder: Sequence[int]) -> str:
+    """Canonical text of a colored ternary preorder list."""
+    out = []
+    pending = []
+    for c in preorder:
+        if c < 0:
+            out.append(f"({~c}: ")
+            pending.append(3)
+            continue
+        out.append(str(c))
+        while pending:
+            pending[-1] -= 1
+            if pending[-1]:
+                out.append(" ")
+                break
+            pending.pop()
+            out.append(")")
+    return "".join(out)
+
+
 def serialize(tree: BinaryTree | ColoredTernaryTree) -> str:
     """Canonical single-line text for one tree of either family."""
     if isinstance(tree, BinaryTree):
-        if tree.is_leaf:
-            return "L"
-        return f"({serialize(tree.left)} {serialize(tree.right)})"
-    if tree.is_leaf:
-        return str(tree.color)
-    inner = " ".join(serialize(c) for c in tree.children)
-    return f"({tree.color}: {inner})"
+        return binary_word_text(binary_word(tree))
+    return ternary_preorder_text(ternary_preorder(tree))
 
 
 def serialize_forest(forest: Sequence) -> str:
@@ -362,97 +470,117 @@ def serialize_forest(forest: Sequence) -> str:
     return "".join(serialize(t) + "\n" for t in forest)
 
 
-class _Cursor:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def expect(self, ch: str, expected: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(self.pos, expected, _describe(self.peek()))
-        self.pos += 1
-
-    def number(self) -> int:
-        start = self.pos
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "an unsigned decimal color", _describe(self.peek()))
-        return int(self.text[start:self.pos])
+_BLANKS = str.maketrans("", "", " \t")
+_BINARY_LETTERS = str.maketrans({"(": "1", "L": "0", ")": None})
+_NOT_BLANK = re.compile(r"[^ \t]")
 
 
-def _describe(ch: str) -> str:
-    return "end of input" if ch == "" else repr(ch)
+def parse_binary_word(text: str) -> str:
+    """Parse one canonical binary tree to its preorder word.
+
+    Spaces and tabs may stand between any two tokens and every token is one
+    character, so the scan runs over the text without them.
+    """
+    compact = text.translate(_BLANKS)
+    pending = []  # per open vertex: subtrees still to read before its ')'
+    done = False
+    for index, ch in enumerate(compact):
+        if done:
+            raise _binary_error(text, index, "end of input")
+        if pending and not pending[-1]:
+            if ch != ")":
+                raise _binary_error(text, index, "')'")
+            pending.pop()
+        elif ch == "(":
+            pending.append(2)
+            continue
+        elif ch != "L":
+            raise _binary_error(text, index, "'L' or '('")
+        # A subtree ended here.
+        if pending:
+            pending[-1] -= 1
+        else:
+            done = True
+    if not done:
+        expected = "')'" if pending and not pending[-1] else "'L' or '('"
+        raise ParseError(len(text), expected, "end of input")
+    return compact.translate(_BINARY_LETTERS)
 
 
-def _finish(cursor: _Cursor, value):
-    cursor.skip_spaces()
-    if cursor.pos != len(cursor.text):
-        raise ParseError(cursor.pos, "end of input", _describe(cursor.peek()))
-    return value
+def _binary_error(text: str, index: int, expected: str) -> ParseError:
+    """The error at the index-th character of `text` that is not a space or tab."""
+    token = next(itertools.islice(_NOT_BLANK.finditer(text), index, None))
+    return _error_at(text, token.start(), expected)
+
+
+# One token after optional blanks: '(' with the color and ':' that must follow
+# it (either may be missing), a leaf color, ')', or any other character.
+_TERNARY_TOKEN = re.compile(r"[ \t]*(?:(\()[ \t]*([0-9]*)(:?)|([0-9]+)|(\))|[^ \t])")
+
+
+def parse_ternary_preorder(text: str) -> list[int]:
+    """Parse one canonical colored ternary tree to its preorder list."""
+    preorder = []
+    pending = []  # per open vertex: subtrees still to read before its ')'
+    done = False
+    try:
+        for index, (opener, color, colon, digits, closer) in enumerate(_TERNARY_TOKEN.findall(text)):
+            if done:
+                raise _ternary_error(text, index, "end of input")
+            if pending and not pending[-1]:
+                if not closer:
+                    raise _ternary_error(text, index, "')'")
+                pending.pop()
+            elif digits:
+                preorder.append(int(digits))
+            elif color and colon:
+                preorder.append(~int(color))
+                pending.append(3)
+                continue
+            elif opener:
+                token = _ternary_token(text, index)
+                if color:
+                    raise _error_at(text, token.end(2), "':' after the color")
+                raise _error_at(text, token.start(2), "an unsigned decimal color")
+            else:
+                raise _ternary_error(text, index, "a color digit or '('")
+            # A subtree ended here.
+            if pending:
+                pending[-1] -= 1
+            else:
+                done = True
+    except ParseError:
+        raise
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        token = _ternary_token(text, index)
+        group = 2 if token.group(1) else 4
+        raise ParseError(token.start(group),
+                         f"a color of at most {sys.get_int_max_str_digits()} digits",
+                         f"{len(token.group(group))} digits") from None
+    if not done:
+        expected = "')'" if pending and not pending[-1] else "a color digit or '('"
+        raise ParseError(len(text), expected, "end of input")
+    return preorder
+
+
+def _ternary_token(text: str, index: int) -> re.Match:
+    """The index-th token of `text`, matched again to locate an error."""
+    return next(itertools.islice(_TERNARY_TOKEN.finditer(text), index, None))
+
+
+def _ternary_error(text: str, index: int, expected: str) -> ParseError:
+    token = _ternary_token(text, index)
+    return _error_at(text, token.end() - len(token.group().lstrip(" \t")), expected)
 
 
 def parse_binary(text: str) -> BinaryTree:
     """Parse one canonical binary tree; inverse of :func:`serialize`."""
-    cursor = _Cursor(text)
-    return _finish(cursor, _parse_binary(cursor))
-
-
-def _parse_binary(cursor: _Cursor) -> BinaryTree:
-    cursor.skip_spaces()
-    ch = cursor.peek()
-    if ch == "L":
-        cursor.take()
-        return LEAF
-    if ch == "(":
-        cursor.take()
-        left = _parse_binary(cursor)
-        cursor.skip_spaces()
-        right = _parse_binary(cursor)
-        cursor.skip_spaces()
-        cursor.expect(")", "')'")
-        return BinaryTree(left, right)
-    raise ParseError(cursor.pos, "'L' or '('", _describe(ch))
+    return binary_from_word(parse_binary_word(text))
 
 
 def parse_ternary(text: str) -> ColoredTernaryTree:
     """Parse one canonical colored ternary tree; inverse of :func:`serialize`."""
-    cursor = _Cursor(text)
-    return _finish(cursor, _parse_ternary(cursor))
-
-
-def _parse_ternary(cursor: _Cursor) -> ColoredTernaryTree:
-    cursor.skip_spaces()
-    ch = cursor.peek()
-    if ch.isdigit():
-        return ColoredTernaryTree(cursor.number())
-    if ch == "(":
-        cursor.take()
-        cursor.skip_spaces()
-        color = cursor.number()
-        cursor.expect(":", "':' after the color")
-        children = []
-        for _ in range(3):
-            cursor.skip_spaces()
-            children.append(_parse_ternary(cursor))
-        cursor.skip_spaces()
-        cursor.expect(")", "')'")
-        return ColoredTernaryTree(color, tuple(children))
-    raise ParseError(cursor.pos, "a color digit or '('", _describe(ch))
+    return ternary_from_preorder(parse_ternary_preorder(text))
 
 
 def parse_forest(text: str, family: str) -> tuple:

@@ -1,15 +1,12 @@
-"""The colored-ternary <-> binary bijection: step semantics, round trips, paths."""
+"""The colored-ternary <-> binary bijection: prefix code, paper's steps, round trips, paths."""
 
 from hypothesis import given, settings
 
+import oracle_paths
 from conftest import binary_trees, colored_ternary_trees
 from fussforest.bijection import (
-    binarize,
-    contract_l_paths,
-    contract_r_paths,
-    expand_colors,
-    maximal_l_paths,
-    maximal_r_paths,
+    decode,
+    encode,
     phi,
     phi_forest,
     phi_inverse,
@@ -20,6 +17,8 @@ from fussforest.trees import (
     BINARY,
     COLORED_TERNARY,
     LEAF,
+    binary_from_word,
+    binary_word,
     enumerate_binary,
     enumerate_colored_ternary,
     enumerate_forests,
@@ -29,8 +28,18 @@ from fussforest.trees import (
     parse_binary,
     parse_ternary,
     serialize,
+    ternary_from_preorder,
+    ternary_preorder,
     ternary_weight,
     validate,
+)
+from oracle_paths import (
+    binarize,
+    contract_l_paths,
+    contract_r_paths,
+    expand_colors,
+    maximal_l_paths,
+    maximal_r_paths,
 )
 
 # An 8-internal-vertex example worked end to end: its image has two colored
@@ -52,7 +61,52 @@ def arities(mixed):
 
 
 # ---------------------------------------------------------------------------
-# Forward steps
+# The prefix code on preorder forms
+# ---------------------------------------------------------------------------
+
+def test_encode_substitutes_one_code_word_per_vertex():
+    assert encode([0]) == "0"
+    assert encode([2]) == "10100"
+    assert encode([~0, 0, 0, 0]) == "11000"
+    assert encode([~1, 0, 0, 0]) == "1011000"
+
+
+def test_decode_cuts_the_word_into_code_words():
+    assert decode("0") == [0]
+    assert decode("10100") == [2]
+    assert decode("11000") == [~0, 0, 0, 0]
+    assert decode("1011000") == [~1, 0, 0, 0]
+
+
+def test_prefix_code_equals_the_path_construction_to_weight_10():
+    # The paper's L/R-path passes, kept in tests/oracle_paths.py, against the
+    # prefix code, on every tree of weight <= 10 in both directions.
+    checked = 0
+    for n in range(11):
+        for t in enumerate_colored_ternary(n, max_n=10):
+            assert phi(t) == oracle_paths.phi(t)
+            checked += 1
+        for b in enumerate_binary(n, max_n=10):
+            assert phi_inverse(b) == oracle_paths.phi_inverse(b)
+            checked += 1
+    assert checked == 2 * 23714
+
+
+def test_objects_10000_deep_match_the_word_level_map():
+    # A right comb of colored vertices: each internal vertex's last child is the next.
+    depth = 10_000
+    preorder = [~1, 0, 2] * depth + [3]
+    word = encode(preorder)
+    assert word == ("1011" + "0" + "10100") * depth + "1010100"
+    tree = ternary_from_preorder(preorder)
+    image = phi(tree)
+    assert binary_word(image) == word
+    assert ternary_preorder(phi_inverse(image)) == preorder
+    assert decode(binary_word(binary_from_word(word))) == preorder
+
+
+# ---------------------------------------------------------------------------
+# The paper's steps (tests/oracle_paths.py)
 # ---------------------------------------------------------------------------
 
 def test_expand_colors_zero_is_identity_shape():
@@ -79,10 +133,6 @@ def test_phi_small_values():
     assert serialize(phi(leaf(2))) == "(L (L L))"
     assert serialize(phi(node(0, leaf(0), leaf(0), leaf(0)))) == "((L L) L)"
 
-
-# ---------------------------------------------------------------------------
-# Inverse steps
-# ---------------------------------------------------------------------------
 
 def test_contract_l_paths_examples():
     assert arities(contract_l_paths(LEAF)) == [0]
@@ -197,7 +247,7 @@ def test_forest_counts_match_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# Path machinery
+# Path machinery (tests/oracle_paths.py)
 # ---------------------------------------------------------------------------
 
 def test_maximal_l_paths_on_the_worked_example():

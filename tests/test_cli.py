@@ -1,6 +1,10 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from fussforest.trees import parse_binary, to_dot
 
 
 def run(capsys, *argv):
@@ -45,6 +50,7 @@ def test_usage_error_on_unknown_flag(capsys):
     assert run(capsys, "number", "--bogus", "1")[0] == EXIT_USAGE
     assert run(capsys, "number", "--k", "2")[0] == EXIT_USAGE
     assert run(capsys, "enumerate", "--family", "binary", "--n", "2", "--p", "1")[0] == EXIT_USAGE
+    assert run(capsys, "enumerate", "--family", "binary", "--n", "3", "--max-n", "-1")[0] == EXIT_USAGE
 
 
 def test_enumerate_binary_golden_order(capsys):
@@ -135,9 +141,62 @@ def test_map_round_trip_is_byte_exact(tmp_path, capsys):
 def test_map_parse_error_carries_offset(tmp_path, capsys):
     src = tmp_path / "bad.txt"
     src.write_text("0\n(1: 0 0 oops)\n", encoding="ascii")
-    code, _, err = run(capsys, "map", "--direction", "t2b", "--in", str(src))
+    code, out, err = run(capsys, "map", "--direction", "t2b", "--in", str(src))
     assert code == EXIT_PARSE
     assert "offset 10" in err  # the 'o' of oops, counted from the start of the input
+    assert out == ""  # not even the line before the bad one
+
+
+def test_map_dot_and_json_formats(tmp_path, capsys):
+    src = tmp_path / "t.txt"
+    src.write_text("2\n(0: 0 0 0)\n", encoding="ascii")
+    code, out, _ = run(capsys, "map", "--direction", "t2b", "--in", str(src), "--format", "json")
+    assert code == EXIT_OK and json.loads(out) == ["(L (L L))", "((L L) L)"]
+    code, out, _ = run(capsys, "map", "--direction", "t2b", "--in", str(src), "--format", "dot")
+    assert code == EXIT_OK
+    assert out == to_dot(parse_binary("(L (L L))"), 0) + to_dot(parse_binary("((L L) L)"), 1)
+
+
+def _map_line(tmp_path, capsys, direction, line):
+    src = tmp_path / "in.txt"
+    src.write_text(line + "\n", encoding="ascii")
+    code, out, _ = run(capsys, "map", "--direction", direction, "--in", str(src))
+    assert code == EXIT_OK
+    return out[:-1]
+
+
+def test_map_deep_lines_at_the_default_recursion_limit(tmp_path, capsys):
+    # A color-10^5 leaf is the right comb with 10^5 internal vertices.
+    n = 100_000
+    comb = "(L " * n + "L" + ")" * n
+    assert _map_line(tmp_path, capsys, "t2b", str(n)) == comb
+    assert _map_line(tmp_path, capsys, "b2t", comb) == str(n)
+    # A weight-10^5 ternary spine: each internal vertex is the last child of the one above.
+    spine = "(0: 0 0 " * (n // 2) + "0" + ")" * (n // 2)
+    image = "((L L) " * (n // 2) + "L" + ")" * (n // 2)
+    assert _map_line(tmp_path, capsys, "t2b", spine) == image
+    assert _map_line(tmp_path, capsys, "b2t", image) == spine
+
+
+def test_closed_pipe_is_a_quiet_exit():
+    # `enumerate ... | head -1`: the reader leaves after one line.
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fussforest", "enumerate", "--family", "binary", "--n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert code == EXIT_OK
+    assert first == b"(L (L (L (L (L (L (L (L (L (L (L (L L))))))))))))\n"
+    assert err == b""
 
 
 def test_map_family_mismatch(tmp_path, capsys):

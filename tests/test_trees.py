@@ -1,8 +1,10 @@
 """Tree values, generators, canonical text format, validation, DOT export."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_paths
 from conftest import binary_trees, colored_ternary_trees
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
 from fussforest.trees import (
@@ -24,8 +26,10 @@ from fussforest.trees import (
     leaf_count,
     node,
     parse_binary,
+    parse_binary_word,
     parse_forest,
     parse_ternary,
+    parse_ternary_preorder,
     serialize,
     serialize_forest,
     ternary_weight,
@@ -132,6 +136,10 @@ def test_enumeration_cap():
         enumerate_colored_ternary(DEFAULT_MAX_N + 1)
     with pytest.raises(SizeCapError):
         enumerate_forests(BINARY, DEFAULT_MAX_N + 1, 2)
+    # a negative cap is a bad argument, not a cap every n exceeds
+    with pytest.raises(ValueError) as err:
+        enumerate_binary(3, max_n=-1)
+    assert not isinstance(err.value, SizeCapError)
     # explicit acknowledgment lifts the cap
     over = DEFAULT_MAX_N + 3
     assert list(enumerate_colored_ternary(over, 0, max_n=over)) == [leaf(over)]
@@ -223,6 +231,87 @@ def test_parse_forest_offset_spans_lines():
     with pytest.raises(ParseError) as err:
         parse_forest("L\n(L x)\n", BINARY)
     assert err.value.offset == 5  # the 'x', counted from the start of the text
+
+
+def test_parse_ternary_rejects_a_color_too_long_to_convert():
+    digits = "1" * 5000
+    with pytest.raises(ParseError) as err:
+        parse_ternary(f"(0: 0 {digits} 0)")
+    assert err.value.offset == 6
+    with pytest.raises(ParseError) as err:
+        parse_ternary(f"( {digits}: 0 0 0)")
+    assert err.value.offset == 2
+
+
+def test_deep_texts_parse_without_recursion():
+    depth = 100_000
+    assert parse_binary_word("(L " * depth + "L" + ")" * depth) == "10" * depth + "0"
+    assert parse_ternary_preorder("(0: 1 2 " * depth + "3" + ")" * depth) == [~0, 1, 2] * depth + [3]
+    with pytest.raises(ParseError) as err:
+        parse_binary_word("(" * depth)
+    assert (err.value.offset, err.value.found) == (depth, "end of input")
+
+
+# Parser fuzz.  Texts are raw bytes, or canonical texts cut short or with a
+# few bytes inserted, deleted or replaced, so that errors also occur deep in
+# the grammar.
+_GRAMMAR_BYTES = st.sampled_from(list(b"()L0123456789: \t\nx-"))
+
+
+@st.composite
+def _fuzz_bytes(draw) -> bytes:
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    data = bytearray(serialize(draw(binary_trees | colored_ternary_trees)).encode("ascii"))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        action = draw(st.sampled_from(("cut", "insert", "delete", "replace")))
+        byte = draw(_GRAMMAR_BYTES)
+        if action == "cut":
+            del data[pos:]
+        elif action == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if action == "delete":
+                del data[pos]
+            else:
+                data[pos] = byte
+    return bytes(data)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.offset, err.expected, err.found
+
+
+@settings(max_examples=400)
+@given(st.text() | _fuzz_bytes().map(lambda data: data.decode("latin-1")))
+def test_parsers_raise_only_parse_errors_in_range(text):
+    for parse in (parse_binary_word, parse_ternary_preorder):
+        try:
+            parse(text)
+        except ParseError as err:
+            assert 0 <= err.offset <= len(text)
+
+
+@settings(max_examples=400)
+@given(_fuzz_bytes().map(lambda data: bytes(b & 0x7F for b in data).decode("ascii")))
+def test_parsers_match_the_recursive_oracle(text):
+    # On ASCII text; the oracle also takes non-ASCII digits (str.isdigit).
+    assert _outcome(parse_binary, text) == _outcome(oracle_paths.parse_binary, text)
+    assert _outcome(parse_ternary, text) == _outcome(oracle_paths.parse_ternary, text)
+
+
+@pytest.mark.parametrize("text", ["(L (((L (L L)) L) (L ((L L) L))))", "(1: 2 0 (10: 0 (0: 0 0 0) 0))"])
+def test_parsers_match_the_recursive_oracle_on_cut_texts(text):
+    # Every prefix, and every text with one character taken out.
+    cuts = [text[:end] for end in range(len(text) + 1)]
+    cuts += [text[:i] + text[i + 1:] for i in range(len(text))]
+    for cut in cuts:
+        assert _outcome(parse_binary, cut) == _outcome(oracle_paths.parse_binary, cut)
+        assert _outcome(parse_ternary, cut) == _outcome(oracle_paths.parse_ternary, cut)
 
 
 # ---------------------------------------------------------------------------
