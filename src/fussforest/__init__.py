@@ -37,8 +37,12 @@ from .trees import (
     binary_word_text,
     color_sum,
     enumerate_binary,
+    enumerate_binary_words,
     enumerate_colored_ternary,
+    enumerate_forest_forms,
     enumerate_forests,
+    enumerate_ternary_preorders,
+    form_dot,
     internal_count,
     leaf,
     leaf_count,

@@ -19,7 +19,8 @@ import os
 import sys
 
 from . import trees, verify
-from .bijection import decode, encode, phi, phi_inverse
+# phi and phi_inverse go unused here; perfbench/spans.py wraps them under these names.
+from .bijection import decode, encode, phi, phi_inverse  # noqa: F401
 from .exact import forest_catalan, k_catalan
 from .trees import BINARY, COLORED_TERNARY, ParseError, SizeCapError
 
@@ -95,34 +96,30 @@ def _open_out(path: str):
     return open(path, "w", encoding="ascii"), True
 
 
-def _render(stream, index: int, tree, fmt: str) -> str | None:
-    if fmt == "sexp":
-        stream.write(trees.serialize(tree) + "\n")
-    elif fmt == "dot":
-        stream.write(trees.to_dot(tree, index))
-    else:
-        return trees.serialize(tree)
-    return None
+def _write(stream, forms, family: str, fmt: str) -> int:
+    """Write preorder forms of one family in the given format; return how many."""
+    text = trees.binary_word_text if family == BINARY else trees.ternary_preorder_text
+    if fmt == "json":
+        texts = [text(form) for form in forms]
+        stream.write(json.dumps(texts) + "\n")
+        return len(texts)
+    count = 0
+    for form in forms:
+        stream.write(trees.form_dot(form, count) if fmt == "dot" else text(form) + "\n")
+        count += 1
+    return count
 
 
 def cmd_enumerate(args) -> int:
     if args.p is not None and args.family != COLORED_TERNARY:
         raise ValueError("--p only applies to the colored-ternary family")
     if args.family == COLORED_TERNARY:
-        source = trees.enumerate_colored_ternary(args.n, args.p, max_n=args.max_n)
+        forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
     else:
-        source = trees.enumerate_binary(args.n, max_n=args.max_n)
+        forms = trees.enumerate_binary_words(args.n, max_n=args.max_n)
     stream, close = _open_out(args.out)
     try:
-        count = 0
-        collected = []
-        for tree in source:
-            item = _render(stream, count, tree, args.format)
-            if item is not None:
-                collected.append(item)
-            count += 1
-        if args.format == "json":
-            stream.write(json.dumps(collected) + "\n")
+        count = _write(stream, forms, args.family, args.format)
         print(f"enumerated {count} tree(s)", file=sys.stderr)
     finally:
         if close:
@@ -162,24 +159,11 @@ def cmd_map(args) -> int:
             raise FamilyMismatchError(
                 f"line {line_no} parses as the opposite family; check --direction") from None
         offset += len(line) + 1
+    apply_map, target = (encode, BINARY) if t2b else (decode, COLORED_TERNARY)
     stream, close = _open_out(args.out)
     try:
-        if args.format == "dot":
-            # to_dot walks tree objects, so only this format builds them.
-            build, apply_map = ((trees.ternary_from_preorder, phi) if t2b
-                                else (trees.binary_from_word, phi_inverse))
-            for index, form in enumerate(parsed):
-                stream.write(trees.to_dot(apply_map(build(form)), index))
-        else:
-            apply_map, render = ((encode, trees.binary_word_text) if t2b
-                                 else (decode, trees.ternary_preorder_text))
-            texts = (render(apply_map(form)) for form in parsed)
-            if args.format == "json":
-                stream.write(json.dumps(list(texts)) + "\n")
-            else:
-                for text in texts:
-                    stream.write(text + "\n")
-        print(f"mapped {len(parsed)} tree(s)", file=sys.stderr)
+        count = _write(stream, map(apply_map, parsed), target, args.format)
+        print(f"mapped {count} tree(s)", file=sys.stderr)
     finally:
         if close:
             stream.close()

@@ -12,8 +12,9 @@ Canonical text format (bit-exact, one tree per line in files):
   colored ternary <c>                  leaf with color c (decimal, no sign)
                   (<c>: <t1> <t2> <t3>)   internal vertex with color c
 Parsers accept spaces and tabs between tokens and report the offset of the
-first error.  Parsing and rendering go through the preorder forms, without
-recursion, so the text of a tree of any depth can be read and written.
+first error.  Generating, parsing, rendering (text and DOT), validating and
+comparing trees go through flat preorder forms or explicit stacks, without
+recursion, so no tree depth reaches Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -37,8 +38,20 @@ class SizeCapError(ValueError):
     """Refused an enumeration whose size parameter exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class BinaryTree:
+class _Tree:
+    """Equality and hashing by structure, computed without recursion."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _tokens(self) == _tokens(other)
+
+    def __hash__(self) -> int:
+        return hash(_tokens(self))
+
+
+@dataclass(frozen=True, eq=False)
+class BinaryTree(_Tree):
     """A complete binary tree; a leaf has both children None."""
 
     left: BinaryTree | None = None
@@ -52,8 +65,8 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
-@dataclass(frozen=True)
-class ColoredTernaryTree:
+@dataclass(frozen=True, eq=False)
+class ColoredTernaryTree(_Tree):
     """A complete ternary tree vertex with a nonnegative color; leaves have no children."""
 
     color: int = 0
@@ -73,30 +86,60 @@ def node(color: int, first: ColoredTernaryTree, second: ColoredTernaryTree,
     return ColoredTernaryTree(color, (first, second, third))
 
 
+def _tokens(tree: _Tree) -> tuple:
+    """A flat tuple that tells tree objects apart, malformed ones included.
+
+    In preorder, a tree vertex stands for its class followed by its fields,
+    a tuple (of children) for its length followed by its items, and any
+    other value for itself.
+    """
+    tokens = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Tree):
+            tokens.append(type(item))
+            stack += reversed(vars(item).values())
+        elif type(item) is tuple:
+            tokens += (tuple, len(item))
+            stack += reversed(item)
+        else:
+            tokens.append(item)
+    return tuple(tokens)
+
+
 # ---------------------------------------------------------------------------
 # Vertex statistics
 # ---------------------------------------------------------------------------
 
+def _vertices(tree: BinaryTree | ColoredTernaryTree) -> Iterator[tuple[int, int | None]]:
+    """(number of children, color) of each vertex in preorder, taken as they
+    are, so that malformed trees such as ``leaf(-1)`` are walked too; binary
+    vertices have color None."""
+    stack = [tree]
+    while stack:
+        vertex = stack.pop()
+        if isinstance(vertex, BinaryTree):
+            children = () if vertex.left is None else (vertex.left, vertex.right)
+            yield len(children), None
+        else:
+            children = vertex.children
+            yield len(children), vertex.color
+        stack += reversed(children)
+
+
 def internal_count(tree: BinaryTree | ColoredTernaryTree) -> int:
     """Number of vertices that have children."""
-    if isinstance(tree, BinaryTree):
-        if tree.is_leaf:
-            return 0
-        return 1 + internal_count(tree.left) + internal_count(tree.right)
-    if tree.is_leaf:
-        return 0
-    return 1 + sum(internal_count(c) for c in tree.children)
+    return sum(1 for count, _ in _vertices(tree) if count)
 
 
 def leaf_count(tree: BinaryTree | ColoredTernaryTree) -> int:
-    if isinstance(tree, BinaryTree):
-        return internal_count(tree) + 1
-    return 2 * internal_count(tree) + 1
+    return internal_count(tree) * (1 if isinstance(tree, BinaryTree) else 2) + 1
 
 
 def color_sum(tree: ColoredTernaryTree) -> int:
     """Sum of the colors over all vertices."""
-    return tree.color + sum(color_sum(c) for c in tree.children)
+    return sum(color for _, color in _vertices(tree))
 
 
 def ternary_weight(tree: ColoredTernaryTree) -> int:
@@ -112,6 +155,9 @@ def ternary_weight(tree: ColoredTernaryTree) -> int:
 # ---------------------------------------------------------------------------
 # Deterministic exhaustive generators
 # ---------------------------------------------------------------------------
+#
+# The generators yield preorder forms (see below); the object-level ones
+# build a tree from each form.
 
 def _enumeration_cap(max_n: int | None) -> int:
     if max_n is not None:
@@ -128,33 +174,13 @@ def _enumeration_cap(max_n: int | None) -> int:
 
 
 def _check_cap(n: int, max_n: int | None) -> None:
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
     cap = _enumeration_cap(max_n)
     if n > cap:
         raise SizeCapError(
             f"n={n} exceeds the enumeration cap {cap}; pass max_n or set {MAX_N_ENV} to override"
         )
-
-
-def _gen_binary(n: int) -> Iterator[BinaryTree]:
-    if n == 0:
-        yield LEAF
-        return
-    for left_size in range(n):
-        for left in _gen_binary(left_size):
-            for right in _gen_binary(n - 1 - left_size):
-                yield BinaryTree(left, right)
-
-
-def enumerate_binary(n: int, max_n: int | None = None) -> Iterator[BinaryTree]:
-    """Yield every complete binary tree with n internal vertices exactly once.
-
-    Order is fixed: left subtree internal size ascending 0..n-1, recursively.
-    Total count equals k_catalan(n, 2).
-    """
-    if n < 0:
-        raise ValueError(f"enumerate_binary requires n >= 0, got n={n}")
-    _check_cap(n, max_n)
-    return _gen_binary(n)
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -171,100 +197,116 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _gen_ternary_shapes(p: int) -> Iterator[ColoredTernaryTree]:
-    """All uncolored ternary shapes (colors 0) with p internal vertices."""
-    if p == 0:
-        yield ColoredTernaryTree()
-        return
-    for i in range(p):
-        for j in range(p - i):
-            for first in _gen_ternary_shapes(i):
-                for second in _gen_ternary_shapes(j):
-                    for third in _gen_ternary_shapes(p - 1 - i - j):
-                        yield ColoredTernaryTree(0, (first, second, third))
+def _products(prefix, total: int, count: int, parts, arg) -> Iterator:
+    """prefix + a1 + ... + a_count for each weak composition (s1, ..., s_count)
+    of total, ascending, and each a_i from parts(s_i, arg), a1 varying slowest.
+
+    One frame holds the generators of all the parts, so each level of
+    nested products costs one frame.
+    """
+    for sizes in _weak_compositions(total, count):
+        gens, prefixes = [parts(sizes[0], arg)], [prefix]
+        while gens:
+            part = next(gens[-1], None)
+            if part is None:
+                gens.pop()
+                prefixes.pop()
+            elif len(gens) == count:
+                yield prefixes[-1] + part
+            else:
+                prefixes.append(prefixes[-1] + part)
+                gens.append(parts(sizes[len(gens)], arg))
 
 
-def _paint(shape: ColoredTernaryTree, colors: Iterator[int]) -> ColoredTernaryTree:
-    # Colors are consumed in preorder: vertex first, then children left to right.
-    color = next(colors)
-    if shape.is_leaf:
-        return ColoredTernaryTree(color)
-    return ColoredTernaryTree(color, tuple(_paint(c, colors) for c in shape.children))
+def _shape_words(p: int, k: int) -> Iterator[str]:
+    """Preorder words of the complete k-ary trees with p internal vertices.
+
+    Child sizes run through the weak compositions of p - 1 into k parts in
+    ascending lexicographic order; for each, the children's own words vary,
+    the first child's slowest.
+    """
+    return iter(("0",)) if p == 0 else _products("1", p - 1, k, _shape_words, k)
 
 
-def _gen_colored_ternary(n: int, p: int) -> Iterator[ColoredTernaryTree]:
-    if 2 * p > n:
-        return
-    for shape in _gen_ternary_shapes(p):
-        for composition in _weak_compositions(n - 2 * p, 3 * p + 1):
-            yield _paint(shape, iter(composition))
+def _ternary_preorders(n: int, p: int | None) -> Iterator[list[int]]:
+    """Weight-n colored ternary preorder lists with p internal vertices, or every p ascending.
+
+    Each shape is painted with every weak composition of the color sum
+    n - 2p, whose parts go to the vertices in preorder.
+    """
+    for q in range(n // 2 + 1) if p is None else range(p, min(p, n // 2) + 1):
+        for shape in _shape_words(q, 3):
+            for colors in _weak_compositions(n - 2 * q, 3 * q + 1):
+                yield [~c if letter == "1" else c for letter, c in zip(shape, colors)]
+
+
+def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
+    """Yield the preorder word of every binary tree with n internal vertices, once each.
+
+    Order is fixed: left subtree internal size ascending 0..n-1, recursively.
+    Total count equals k_catalan(n, 2).
+    """
+    _check_cap(n, max_n)
+    return _shape_words(n, 2)
+
+
+def enumerate_binary(n: int, max_n: int | None = None) -> Iterator[BinaryTree]:
+    """Yield every complete binary tree with n internal vertices: :func:`enumerate_binary_words`."""
+    return map(binary_from_word, enumerate_binary_words(n, max_n))
+
+
+def enumerate_ternary_preorders(n: int, p: int | None = None,
+                                max_n: int | None = None) -> Iterator[list[int]]:
+    """Yield the preorder list of every weight-n colored ternary tree once, in fixed order.
+
+    With p given, restricts to trees with p internal vertices (color sum
+    n-2p); an out-of-range p yields nothing.  With p None, runs p ascending
+    from 0 to floor(n/2).  Shapes come in the order of child sizes
+    ascending lexicographically, recursively, and colors as weak
+    compositions of n-2p assigned to vertices in preorder.
+    """
+    if p is not None and p < 0:
+        raise ValueError(f"p must be >= 0, got p={p}")
+    _check_cap(n, max_n)
+    return _ternary_preorders(n, p)
 
 
 def enumerate_colored_ternary(n: int, p: int | None = None,
                               max_n: int | None = None) -> Iterator[ColoredTernaryTree]:
-    """Yield the weight-n colored ternary trees exactly once, in fixed order.
-
-    With p given, restricts to trees with p internal vertices (color sum
-    n-2p); an out-of-range p yields nothing.  With p None, runs p ascending
-    from 0 to floor(n/2).  Shapes are enumerated recursively (child sizes
-    ascending lexicographically) and colors as weak compositions of n-2p
-    assigned to vertices in preorder.
-    """
-    if n < 0:
-        raise ValueError(f"enumerate_colored_ternary requires n >= 0, got n={n}")
-    if p is not None and p < 0:
-        raise ValueError(f"enumerate_colored_ternary requires p >= 0, got p={p}")
-    _check_cap(n, max_n)
-    if p is not None:
-        return _gen_colored_ternary(n, p)
-
-    def all_p() -> Iterator[ColoredTernaryTree]:
-        for q in range(n // 2 + 1):
-            yield from _gen_colored_ternary(n, q)
-
-    return all_p()
+    """Yield the weight-n colored ternary trees: :func:`enumerate_ternary_preorders`."""
+    return map(ternary_from_preorder, enumerate_ternary_preorders(n, p, max_n))
 
 
-def enumerate_forests(family: str, n: int, m: int,
-                      max_n: int | None = None) -> Iterator[tuple]:
-    """Yield every ordered m-tuple of trees with total weight n, exactly once.
+def _component_forms(weight: int, family: str) -> Iterator[tuple]:
+    """Each form of one forest component, as a 1-tuple to concatenate."""
+    forms = _shape_words(weight, 2) if family == BINARY else _ternary_preorders(weight, None)
+    return ((form,) for form in forms)
 
-    Weight is internal-vertex count for binary components and
-    :func:`ternary_weight` for colored ternary components.  Outer order is
-    the weak composition of n into m component weights (lexicographic
-    ascending), inner order the per-component generators.
+
+def enumerate_forest_forms(family: str, n: int, m: int,
+                           max_n: int | None = None) -> Iterator[tuple]:
+    """Yield every ordered m-tuple of forms with total weight n, exactly once.
+
+    Components are binary words or colored ternary preorder lists; weight is
+    the internal-vertex count of a binary tree and :func:`ternary_weight`
+    of a colored one.  Outer order is the weak composition of n into m
+    component weights (lexicographic ascending), inner order the
+    per-component generators, the first component's slowest.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if m < 1:
-        raise ValueError(f"enumerate_forests requires m >= 1, got m={m}")
-    if n < 0:
-        raise ValueError(f"enumerate_forests requires n >= 0, got n={n}")
+        raise ValueError(f"m must be >= 1, got m={m}")
     _check_cap(n, max_n)
+    return _products((), n, m, _component_forms, family)
 
-    def component(weight: int) -> Iterator:
-        if family == BINARY:
-            return _gen_binary(weight)
 
-        def colored() -> Iterator[ColoredTernaryTree]:
-            for q in range(weight // 2 + 1):
-                yield from _gen_colored_ternary(weight, q)
-
-        return colored()
-
-    def tuples(weights: tuple[int, ...]) -> Iterator[tuple]:
-        if not weights:
-            yield ()
-            return
-        for head in component(weights[0]):
-            for rest in tuples(weights[1:]):
-                yield (head,) + rest
-
-    def forests() -> Iterator[tuple]:
-        for weights in _weak_compositions(n, m):
-            yield from tuples(weights)
-
-    return forests()
+def enumerate_forests(family: str, n: int, m: int,
+                      max_n: int | None = None) -> Iterator[tuple]:
+    """Yield every ordered m-tuple of trees with total weight n: :func:`enumerate_forest_forms`."""
+    forms = enumerate_forest_forms(family, n, m, max_n)
+    build = binary_from_word if family == BINARY else ternary_from_preorder
+    return (tuple(map(build, forest)) for forest in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +328,27 @@ class ValidationReport:
         return f"invalid at {where}: {self.message}"
 
 
-def _validate_binary(tree, path) -> ValidationReport:
-    if not isinstance(tree, BinaryTree):
-        return ValidationReport(False, path, f"expected a BinaryTree node, got {type(tree).__name__}")
-    if (tree.left is None) != (tree.right is None):
-        return ValidationReport(False, path, "binary vertex must have 0 or 2 children")
-    if tree.left is None:
-        return ValidationReport(True)
-    for index, child in enumerate((tree.left, tree.right)):
-        report = _validate_binary(child, path + (index,))
-        if not report.ok:
-            return report
-    return ValidationReport(True)
+def _binary_vertex(vertex) -> tuple[str | None, tuple]:
+    """What is wrong with one binary vertex, or None; and its children."""
+    if not isinstance(vertex, BinaryTree):
+        return f"expected a BinaryTree node, got {type(vertex).__name__}", ()
+    if (vertex.left is None) != (vertex.right is None):
+        return "binary vertex must have 0 or 2 children", ()
+    return None, () if vertex.left is None else (vertex.left, vertex.right)
 
 
-def _validate_ternary(tree, path) -> ValidationReport:
-    if not isinstance(tree, ColoredTernaryTree):
-        return ValidationReport(False, path, f"expected a ColoredTernaryTree node, got {type(tree).__name__}")
-    if not isinstance(tree.color, int) or isinstance(tree.color, bool):
-        return ValidationReport(False, path, f"color must be an int, got {type(tree.color).__name__}")
-    if tree.color < 0:
-        return ValidationReport(False, path, f"color must be >= 0, got {tree.color}")
-    if len(tree.children) not in (0, 3):
-        return ValidationReport(False, path, f"ternary vertex must have 0 or 3 children, has {len(tree.children)}")
-    for index, child in enumerate(tree.children):
-        report = _validate_ternary(child, path + (index,))
-        if not report.ok:
-            return report
-    return ValidationReport(True)
+def _ternary_vertex(vertex) -> tuple[str | None, tuple]:
+    """What is wrong with one colored ternary vertex, or None; and its children."""
+    if not isinstance(vertex, ColoredTernaryTree):
+        return f"expected a ColoredTernaryTree node, got {type(vertex).__name__}", ()
+    color = vertex.color
+    if not isinstance(color, int) or isinstance(color, bool):
+        return f"color must be an int, got {type(color).__name__}", ()
+    if color < 0:
+        return f"color must be >= 0, got {color}", ()
+    if len(vertex.children) not in (0, 3):
+        return f"ternary vertex must have 0 or 3 children, has {len(vertex.children)}", ()
+    return None, vertex.children
 
 
 def validate(obj, family: str) -> ValidationReport:
@@ -325,18 +360,28 @@ def validate(obj, family: str) -> ValidationReport:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    check = _validate_binary if family == BINARY else _validate_ternary
+    check = _binary_vertex if family == BINARY else _ternary_vertex
+    # Each entry: a vertex, and the way up from it: (its index among its
+    # siblings, the parent's way up), or None for a root.
     if isinstance(obj, (BinaryTree, ColoredTernaryTree)):
-        return check(obj, ())
-    if isinstance(obj, Sequence):
-        if len(obj) == 0:
-            return ValidationReport(False, (), "a forest needs at least one component")
-        for index, tree in enumerate(obj):
-            report = check(tree, (index,))
-            if not report.ok:
-                return report
-        return ValidationReport(True)
-    return ValidationReport(False, (), f"expected a tree or forest, got {type(obj).__name__}")
+        stack = [(obj, None)]
+    elif not isinstance(obj, Sequence):
+        return ValidationReport(False, (), f"expected a tree or forest, got {type(obj).__name__}")
+    elif len(obj) == 0:
+        return ValidationReport(False, (), "a forest needs at least one component")
+    else:
+        stack = [(tree, (index, None)) for index, tree in reversed(list(enumerate(obj)))]
+    while stack:
+        vertex, up = stack.pop()
+        message, children = check(vertex)
+        if message is not None:
+            path = []
+            while up is not None:
+                index, up = up
+                path.append(index)
+            return ValidationReport(False, tuple(reversed(path)), message)
+        stack += [(child, (index, up)) for index, child in reversed(list(enumerate(children)))]
+    return ValidationReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -352,31 +397,16 @@ def validate(obj, family: str) -> ValidationReport:
 
 def binary_word(tree: BinaryTree) -> str:
     """Preorder word of a binary tree."""
-    letters = []
-    stack = [tree]
-    while stack:
-        vertex = stack.pop()
-        if vertex.left is None:
-            letters.append("0")
-        else:
-            letters.append("1")
-            stack += (vertex.right, vertex.left)
-    return "".join(letters)
+    return "".join("1" if count else "0" for count, _ in _vertices(tree))
 
 
 def ternary_preorder(tree: ColoredTernaryTree) -> list[int]:
     """Preorder list of a colored ternary tree; raises ValueError on a negative color."""
     preorder = []
-    stack = [tree]
-    while stack:
-        vertex = stack.pop()
-        if vertex.color < 0:
-            raise ValueError(f"colors must be >= 0, got {vertex.color}")
-        if vertex.children:
-            preorder.append(~vertex.color)
-            stack += reversed(vertex.children)
-        else:
-            preorder.append(vertex.color)
+    for count, color in _vertices(tree):
+        if color < 0:
+            raise ValueError(f"colors must be >= 0, got {color}")
+        preorder.append(~color if count else color)
     return preorder
 
 
@@ -606,34 +636,44 @@ def parse_forest(text: str, family: str) -> tuple:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def to_dot(tree: BinaryTree | ColoredTernaryTree, index: int = 0) -> str:
-    """One digraph per tree: circles for internal vertices, points for leaves.
-
-    Colors label the vertices (xlabel for point-shaped leaves); child order is
-    preserved through ordinal edge labels 1, 2, 3 left to right.
-    """
+def _dot(vertices, index: int) -> str:
+    """The digraph of (number of children, color) per vertex in preorder."""
     lines = [f"digraph tree{index} {{"]
-    counter = [0]
-
-    def emit(sub) -> str:
-        name = f"v{counter[0]}"
-        counter[0] += 1
-        color = getattr(sub, "color", None)
-        is_leaf = sub.is_leaf
-        if is_leaf:
-            label = "" if color is None else f', xlabel="{color}"'
-            lines.append(f'  {name} [shape=point{label}];')
-        else:
-            label = "" if color is None else str(color)
-            lines.append(f'  {name} [shape=circle, label="{label}"];')
-        children = (sub.left, sub.right) if isinstance(sub, BinaryTree) else sub.children
-        if is_leaf:
-            return name
-        for ordinal, child in enumerate(children, start=1):
-            child_name = emit(child)
-            lines.append(f'  {name} -> {child_name} [label="{ordinal}"];')
-        return name
-
-    emit(tree)
+    open_vertices = []  # per open vertex: [name, children written, children]
+    for number, (count, color) in enumerate(vertices):
+        name = f"v{number}"
+        if count:
+            lines.append(f'  {name} [shape=circle, label="{"" if color is None else color}"];')
+            open_vertices.append([name, 0, count])
+            continue
+        xlabel = "" if color is None else f', xlabel="{color}"'
+        lines.append(f'  {name} [shape=point{xlabel}];')
+        while open_vertices:
+            parent = open_vertices[-1]
+            parent[1] += 1
+            lines.append(f'  {parent[0]} -> {name} [label="{parent[1]}"];')
+            if parent[1] < parent[2]:
+                break
+            open_vertices.pop()
+            name = parent[0]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def form_dot(form: str | Sequence[int], index: int = 0) -> str:
+    """One digraph per tree, from a binary word or a colored ternary preorder list.
+
+    Circles are internal vertices and points leaves, numbered v0, v1, ... in
+    preorder.  Colors label the vertices (xlabel for point-shaped leaves);
+    child order is preserved through ordinal edge labels 1, 2, 3 left to
+    right.  An edge is written once the subtree below it is.
+    """
+    if isinstance(form, str):
+        return _dot(((2, None) if letter == "1" else (0, None) for letter in form), index)
+    return _dot(((3, ~c) if c < 0 else (0, c) for c in form), index)
+
+
+def to_dot(tree: BinaryTree | ColoredTernaryTree, index: int = 0) -> str:
+    """:func:`form_dot` of a tree object, drawn as it is: a malformed tree
+    such as ``leaf(-1)`` is drawn too."""
+    return _dot(_vertices(tree), index)

@@ -42,17 +42,22 @@ class CheckResult:
     cases: int = 0
     failures: list[CaseFailure] = field(default_factory=list)
 
-    def case(self, params: dict, expected, actual) -> None:
+    def case(self, params: dict, expected, *actual) -> None:
+        """One case that passes iff every actual value equals the expected one."""
         self.cases += 1
-        if expected != actual:
-            self.failures.append(CaseFailure(dict(params), str(expected), str(actual)))
-
-    def equal_chain(self, params: dict, *values) -> None:
-        """One case that passes iff all supplied values are equal."""
-        self.cases += 1
-        if any(v != values[0] for v in values[1:]):
+        if any(value != expected for value in actual):
             self.failures.append(
-                CaseFailure(dict(params), str(values[0]), " / ".join(str(v) for v in values[1:])))
+                CaseFailure(dict(params), _text(expected), " / ".join(map(_text, actual))))
+
+
+def _text(value) -> str:
+    """How a case shows a value: canonical text for a colored ternary preorder
+    list, each tree followed by ';' for a forest of them, str() otherwise."""
+    if isinstance(value, list):
+        return trees.ternary_preorder_text(value)
+    if isinstance(value, tuple):
+        return "".join(_text(tree) + ";" for tree in value)
+    return str(value)
 
 
 @dataclass
@@ -125,51 +130,31 @@ def _bounds(suite: str, n_max, m_max, order) -> dict:
 # identities suite
 # ---------------------------------------------------------------------------
 
-def _check_ternary_identity(n_max: int) -> CheckResult:
-    result = CheckResult("ternary_identity", {"n_max": n_max})
-    for n in range(n_max + 1):
-        result.equal_chain(
-            {"n": n},
-            k_catalan(n, 2),
-            identity_side(Identity.TERNARY, Side.LHS, n),
-            identity_side(Identity.TERNARY, Side.RHS, n),
-        )
-    return result
+# name, identity, whether m is swept, and a third witness of the single-tree
+# identities: the Catalan number both sides must equal.  A witnessed check
+# shows LHS / RHS against the witness, the others LHS against RHS.
+_IDENTITY_CHECKS = (
+    ("ternary_identity", Identity.TERNARY, False, lambda n: k_catalan(n, 2)),
+    ("ternary_forest_identity", Identity.TERNARY_FOREST, True, None),
+    ("quinary_forest_identity", Identity.QUINARY_FOREST, True, None),
+    ("quinary_identity", Identity.QUINARY, False, None),
+)
 
 
-def _check_ternary_forest_identity(n_max: int, m_max: int) -> CheckResult:
-    result = CheckResult("ternary_forest_identity", {"n_max": n_max, "m_max": m_max})
-    for n in range(n_max + 1):
-        for m in range(1, m_max + 1):
-            result.case(
-                {"n": n, "m": m},
-                identity_side(Identity.TERNARY_FOREST, Side.RHS, n, m),
-                identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m),
-            )
-    return result
-
-
-def _check_quinary_forest_identity(n_max: int, m_max: int) -> CheckResult:
-    result = CheckResult("quinary_forest_identity", {"n_max": n_max, "m_max": m_max})
-    for n in range(n_max + 1):
-        for m in range(1, m_max + 1):
-            result.case(
-                {"n": n, "m": m},
-                identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m),
-                identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m),
-            )
-    return result
-
-
-def _check_quinary_identity(n_max: int) -> CheckResult:
-    result = CheckResult("quinary_identity", {"n_max": n_max})
-    for n in range(n_max + 1):
-        result.case(
-            {"n": n},
-            identity_side(Identity.QUINARY, Side.RHS, n),
-            identity_side(Identity.QUINARY, Side.LHS, n),
-        )
-    return result
+def _check_identities(n_max: int, m_max: int) -> list[CheckResult]:
+    """Each identity's RHS against its LHS (and its witness) for every n, and m if swept."""
+    results = []
+    for name, identity, sweeps_m, witness in _IDENTITY_CHECKS:
+        bounds = {"n_max": n_max, "m_max": m_max} if sweeps_m else {"n_max": n_max}
+        result = CheckResult(name, bounds)
+        for n in range(n_max + 1):
+            for m in range(1, m_max + 1) if sweeps_m else (1,):
+                params = {"n": n, "m": m} if sweeps_m else {"n": n}
+                lhs = identity_side(identity, Side.LHS, n, m)
+                rhs = identity_side(identity, Side.RHS, n, m)
+                result.case(params, *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
+        results.append(result)
+    return results
 
 
 def _check_forest_single_component(n_max: int) -> CheckResult:
@@ -194,11 +179,7 @@ def _check_colored_count_sum(n_max: int) -> CheckResult:
 
 
 def _identities_suite(n_max: int, m_max: int) -> list[CheckResult]:
-    return [
-        _check_ternary_identity(n_max),
-        _check_ternary_forest_identity(n_max, m_max),
-        _check_quinary_forest_identity(n_max, m_max),
-        _check_quinary_identity(n_max),
+    return _check_identities(n_max, m_max) + [
         _check_forest_single_component(n_max),
         _check_colored_count_sum(n_max),
     ]
@@ -208,35 +189,44 @@ def _identities_suite(n_max: int, m_max: int) -> list[CheckResult]:
 # bijection suite
 # ---------------------------------------------------------------------------
 
+def _colored_forest_count(n: int, m: int) -> int:
+    """Colored ternary m-forests of weight n, summed by internal-vertex count p."""
+    return sum(forest_catalan(p, 3, m) * binomial(m + n + p - 1, n - 2 * p)
+               for p in range(n // 2 + 1))
+
+
 def _check_tree_bijection(n_max: int) -> CheckResult:
+    # The public maps on tree objects, so that the conversions around
+    # encode and decode are checked too; the forest check runs on forms.
     result = CheckResult("tree_bijection", {"n_max": n_max})
     for n in range(n_max + 1):
-        image_keys = []
+        binary_words = set(trees.enumerate_binary_words(n, max_n=n_max))
+        domain, images = set(), []
         for t in trees.enumerate_colored_ternary(n, max_n=n_max):
+            form = trees.ternary_preorder(t)
             b = bijection.phi(t)
-            result.equal_chain(
-                {"n": n, "tree": trees.serialize(t)},
+            word = trees.binary_word(b)
+            result.case(
+                {"n": n, "tree": trees.ternary_preorder_text(form)},
                 True,
-                trees.internal_count(b) == n,
-                trees.validate(b, trees.BINARY).ok,
+                word.count("1") == n,
+                word in binary_words,
                 bijection.phi_inverse(b) == t,
             )
-            image_keys.append(trees.serialize(b))
-        domain_keys = set()
+            domain.add(tuple(form))
+            images.append(word)
         for b in trees.enumerate_binary(n, max_n=n_max):
-            domain_keys.add(trees.serialize(b))
             t = bijection.phi_inverse(b)
-            result.equal_chain(
+            result.case(
                 {"n": n, "tree": trees.serialize(b)},
                 True,
-                trees.validate(t, trees.COLORED_TERNARY).ok,
-                trees.ternary_weight(t) == n,
+                tuple(trees.ternary_preorder(t)) in domain,
                 bijection.phi(t) == b,
             )
         # Injective onto: image multiset has no repeats and covers the codomain.
-        result.case({"n": n, "property": "image_size"}, k_catalan(n, 2), len(image_keys))
-        result.case({"n": n, "property": "image_distinct"}, len(image_keys), len(set(image_keys)))
-        result.case({"n": n, "property": "image_onto"}, True, set(image_keys) == domain_keys)
+        result.case({"n": n, "property": "image_size"}, k_catalan(n, 2), len(images))
+        result.case({"n": n, "property": "image_distinct"}, len(images), len(set(images)))
+        result.case({"n": n, "property": "image_onto"}, True, set(images) == binary_words)
     return result
 
 
@@ -244,31 +234,22 @@ def _check_forest_bijection(n_max: int, m_max: int) -> CheckResult:
     result = CheckResult("forest_bijection", {"n_max": n_max, "m_max": m_max})
     for m in range(1, m_max + 1):
         for n in range(n_max + 1):
-            colored = list(trees.enumerate_forests(trees.COLORED_TERNARY, n, m, max_n=n_max))
-            by_parts = sum(
-                forest_catalan(p, 3, m) * binomial(m + n + p - 1, n - 2 * p)
-                for p in range(n // 2 + 1)
-            )
-            result.case({"n": n, "m": m, "property": "colored_count"}, by_parts, len(colored))
+            colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
+            result.case({"n": n, "m": m, "property": "colored_count"},
+                        _colored_forest_count(n, m), len(colored))
             images = []
             for forest in colored:
-                image = bijection.phi_forest(forest)
-                result.case(
-                    {"n": n, "m": m, "forest": trees.serialize_forest(forest).replace("\n", ";")},
-                    forest,
-                    bijection.phi_inverse_forest(image),
-                )
-                images.append(tuple(trees.serialize(b) for b in image))
-            binary_keys = {
-                tuple(trees.serialize(b) for b in forest)
-                for forest in trees.enumerate_forests(trees.BINARY, n, m, max_n=n_max)
-            }
+                image = tuple(map(bijection.encode, forest))
+                result.case({"n": n, "m": m, "forest": _text(forest)},
+                            forest, tuple(map(bijection.decode, image)))
+                images.append(image)
+            binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m, max_n=n_max))
             result.case({"n": n, "m": m, "property": "binary_count"},
-                        forest_catalan(n, 2, m), len(binary_keys))
+                        forest_catalan(n, 2, m), len(binary))
             result.case({"n": n, "m": m, "property": "image_distinct"},
                         len(images), len(set(images)))
             result.case({"n": n, "m": m, "property": "image_onto"},
-                        True, set(images) == binary_keys)
+                        True, set(images) == binary)
     return result
 
 
@@ -361,9 +342,9 @@ def _check_binary_generator(n_max: int) -> CheckResult:
     for n in range(n_max + 1):
         seen = set()
         count = 0
-        for b in trees.enumerate_binary(n, max_n=n_max):
+        for word in trees.enumerate_binary_words(n, max_n=n_max):
             count += 1
-            seen.add(trees.serialize(b))
+            seen.add(word)
         result.case({"n": n, "property": "count"}, k_catalan(n, 2), count)
         result.case({"n": n, "property": "distinct"}, count, len(seen))
     return result
@@ -375,16 +356,16 @@ def _check_colored_generator(n_max: int) -> CheckResult:
         for p in range(n // 2 + 1):
             seen = set()
             count = 0
-            shape_ok = True
-            for t in trees.enumerate_colored_ternary(n, p, max_n=n_max):
+            members = True
+            for t in trees.enumerate_ternary_preorders(n, p, max_n=n_max):
                 count += 1
-                seen.add(trees.serialize(t))
-                if trees.internal_count(t) != p or trees.color_sum(t) != n - 2 * p:
-                    shape_ok = False
+                seen.add(trees.ternary_preorder_text(t))
+                if sum(c < 0 for c in t) != p or sum(c if c >= 0 else ~c for c in t) != n - 2 * p:
+                    members = False
             result.case({"n": n, "p": p, "property": "count"},
                         colored_ternary_count(n, p), count)
             result.case({"n": n, "p": p, "property": "distinct"}, count, len(seen))
-            result.case({"n": n, "p": p, "property": "members"}, True, shape_ok)
+            result.case({"n": n, "p": p, "property": "members"}, True, members)
     return result
 
 
@@ -392,17 +373,10 @@ def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
     result = CheckResult("forest_generators", {"n_max": n_max, "m_max": m_max})
     for m in range(1, m_max + 1):
         for n in range(n_max + 1):
-            binary_total = sum(1 for _ in trees.enumerate_forests(trees.BINARY, n, m, max_n=n_max))
-            result.case({"n": n, "m": m, "family": "binary"},
-                        forest_catalan(n, 2, m), binary_total)
-            colored_total = sum(
-                1 for _ in trees.enumerate_forests(trees.COLORED_TERNARY, n, m, max_n=n_max))
-            expected = sum(
-                forest_catalan(p, 3, m) * binomial(m + n + p - 1, n - 2 * p)
-                for p in range(n // 2 + 1)
-            )
-            result.case({"n": n, "m": m, "family": "colored-ternary"},
-                        expected, colored_total)
+            for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
+                                     (trees.COLORED_TERNARY, _colored_forest_count(n, m))):
+                total = sum(1 for _ in trees.enumerate_forest_forms(family, n, m, max_n=n_max))
+                result.case({"n": n, "m": m, "family": family}, expected, total)
     return result
 
 

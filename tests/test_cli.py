@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -176,6 +177,23 @@ def test_map_deep_lines_at_the_default_recursion_limit(tmp_path, capsys):
     image = "((L L) " * (n // 2) + "L" + ")" * (n // 2)
     assert _map_line(tmp_path, capsys, "t2b", spine) == image
     assert _map_line(tmp_path, capsys, "b2t", image) == spine
+
+
+def test_map_dot_has_no_depth_limit(tmp_path, capsys, monkeypatch):
+    # `echo 1000 | fussforest map --direction t2b --format dot`: a right comb 1000 deep.
+    monkeypatch.setattr("sys.stdin", io.StringIO("1000\n"))
+    code, out, _ = run(capsys, "map", "--direction", "t2b", "--format", "dot")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert sum("[shape=" in line for line in lines) == 2001
+    assert sum(" -> " in line for line in lines) == 2000
+    # 10^5 deep: the DOT route has every vertex of the sexp route's tree.
+    src = tmp_path / "in.txt"
+    src.write_text("100000\n", encoding="ascii")
+    code, dot, _ = run(capsys, "map", "--direction", "t2b", "--in", str(src), "--format", "dot")
+    assert code == EXIT_OK
+    sexp = _map_line(tmp_path, capsys, "t2b", "100000")
+    assert dot.count("[shape=") == sexp.count("(") + sexp.count("L") == 200_001
 
 
 def test_closed_pipe_is_a_quiet_exit():

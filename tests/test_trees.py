@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_generators
 import oracle_paths
 from conftest import binary_trees, colored_ternary_trees
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
@@ -17,10 +18,16 @@ from fussforest.trees import (
     ColoredTernaryTree,
     ParseError,
     SizeCapError,
+    binary_from_word,
+    binary_word,
     color_sum,
     enumerate_binary,
+    enumerate_binary_words,
     enumerate_colored_ternary,
+    enumerate_forest_forms,
     enumerate_forests,
+    enumerate_ternary_preorders,
+    form_dot,
     internal_count,
     leaf,
     leaf_count,
@@ -32,6 +39,8 @@ from fussforest.trees import (
     parse_ternary_preorder,
     serialize,
     serialize_forest,
+    ternary_from_preorder,
+    ternary_preorder,
     ternary_weight,
     to_dot,
     validate,
@@ -46,6 +55,12 @@ def test_vertex_statistics():
     assert color_sum(leaf(2)) == 2
     assert color_sum(node(1, leaf(1), leaf(0), leaf(2))) == 4
     assert ternary_weight(node(1, leaf(1), leaf(0), leaf(2))) == 6
+    # Malformed trees are counted as they are, as by the recursive definitions.
+    negative = node(-2, leaf(-1), leaf(0), leaf(4))
+    assert (internal_count(negative), color_sum(negative), ternary_weight(negative)) == (1, 1, 3)
+    assert color_sum(leaf(-1)) == -1 and internal_count(ColoredTernaryTree(0, (leaf(),))) == 1
+    with pytest.raises(ValueError):
+        ternary_preorder(negative)
 
 
 def test_trees_are_immutable_values():
@@ -53,6 +68,13 @@ def test_trees_are_immutable_values():
     assert len({leaf(1), leaf(1), leaf(2)}) == 2
     with pytest.raises(AttributeError):
         LEAF.left = LEAF
+    assert BinaryTree(LEAF, LEAF) != node(0, leaf(), leaf(), leaf())
+    # Equality and hashing stay total on malformed trees.
+    broken = BinaryTree(LEAF, None)
+    assert broken == BinaryTree(LEAF, None) and hash(broken) == hash(BinaryTree(LEAF, None))
+    assert broken != BinaryTree(None, LEAF) and broken != BinaryTree(LEAF, LEAF)
+    assert leaf(-1) == leaf(-1) and hash(leaf(-1)) == hash(leaf(-1)) and leaf(-1) != leaf(1)
+    assert ColoredTernaryTree(0, (leaf(1),)) != ColoredTernaryTree(0, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +144,35 @@ def test_enumerate_forests_counts():
             assert sum(1 for _ in enumerate_forests(BINARY, n, m)) == forest_catalan(n, 2, m)
 
 
+# The recursive object generators of tests/oracle_generators.py, against the
+# flat ones: the same trees in the same order.
+
+def test_binary_order_matches_the_recursive_oracle():
+    for n in range(10):
+        expected = list(oracle_generators.gen_binary(n))
+        assert list(enumerate_binary(n)) == expected
+        assert list(enumerate_binary_words(n)) == [binary_word(b) for b in expected]
+
+
+def test_colored_order_matches_the_recursive_oracle():
+    for n in range(9):
+        for p in [None, *range(n // 2 + 2)]:
+            expected = list(oracle_generators.gen_colored_ternary(n, p))
+            assert list(enumerate_colored_ternary(n, p)) == expected
+            forms = list(enumerate_ternary_preorders(n, p))
+            assert forms == [ternary_preorder(t) for t in expected]
+
+
+def test_forest_order_matches_the_recursive_oracle():
+    for family, form in ((BINARY, binary_word), (COLORED_TERNARY, ternary_preorder)):
+        for n in range(6):
+            for m in (1, 2, 3):
+                expected = list(oracle_generators.gen_forests(family, n, m))
+                assert list(enumerate_forests(family, n, m)) == expected
+                assert list(enumerate_forest_forms(family, n, m)) == [
+                    tuple(map(form, forest)) for forest in expected]
+
+
 def test_enumerate_forest_rejects_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_forests("unknown", 1, 1))
@@ -136,6 +187,30 @@ def test_enumeration_cap():
         enumerate_colored_ternary(DEFAULT_MAX_N + 1)
     with pytest.raises(SizeCapError):
         enumerate_forests(BINARY, DEFAULT_MAX_N + 1, 2)
+    with pytest.raises(SizeCapError):
+        enumerate_binary_words(DEFAULT_MAX_N + 1)
+    with pytest.raises(SizeCapError):
+        enumerate_ternary_preorders(DEFAULT_MAX_N + 1, 0)
+    with pytest.raises(SizeCapError):
+        enumerate_forest_forms(COLORED_TERNARY, DEFAULT_MAX_N + 1, 1)
+    # A bad family, m, n or p raises at the call, before the first next().
+    for bad in (
+        lambda: enumerate_binary(-1),
+        lambda: enumerate_binary_words(-1),
+        lambda: enumerate_colored_ternary(-1),
+        lambda: enumerate_ternary_preorders(-1),
+        lambda: enumerate_colored_ternary(4, -1),
+        lambda: enumerate_ternary_preorders(4, -1),
+        lambda: enumerate_forests("unknown", 1, 1),
+        lambda: enumerate_forest_forms("unknown", 1, 1),
+        lambda: enumerate_forests(BINARY, 1, 0),
+        lambda: enumerate_forest_forms(COLORED_TERNARY, 1, 0),
+        lambda: enumerate_forests(COLORED_TERNARY, -1, 2),
+        lambda: enumerate_forest_forms(BINARY, -1, 2),
+    ):
+        with pytest.raises(ValueError) as err:
+            bad()
+        assert not isinstance(err.value, SizeCapError)
     # a negative cap is a bad argument, not a cap every n exceeds
     with pytest.raises(ValueError) as err:
         enumerate_binary(3, max_n=-1)
@@ -143,6 +218,8 @@ def test_enumeration_cap():
     # explicit acknowledgment lifts the cap
     over = DEFAULT_MAX_N + 3
     assert list(enumerate_colored_ternary(over, 0, max_n=over)) == [leaf(over)]
+    # The generators nest one frame per tree level, so a lifted cap reaches deep first trees.
+    assert next(enumerate_binary_words(500, max_n=500)) == "10" * 500 + "0"
 
 
 def test_enumeration_cap_env_override(monkeypatch):
@@ -250,6 +327,38 @@ def test_deep_texts_parse_without_recursion():
     with pytest.raises(ParseError) as err:
         parse_binary_word("(" * depth)
     assert (err.value.offset, err.value.found) == (depth, "end of input")
+
+
+def test_deep_trees_check_and_compare_without_recursion():
+    # A binary right comb 5000 levels deep, and a colored ternary tree whose
+    # last child nests 10^4 levels deep.
+    comb = binary_from_word("10" * 5000 + "0")
+    assert internal_count(comb) == 5000 and leaf_count(comb) == 5001
+    assert validate(comb, BINARY).ok
+    copy = binary_from_word("10" * 5000 + "0")
+    assert comb == copy and hash(comb) == hash(copy)
+    assert comb != binary_from_word("10" * 4999 + "0")
+    depth = 10_000
+    preorder = [~1, 0, 2] * depth + [3]
+    tree = ternary_from_preorder(preorder)
+    assert (internal_count(tree), color_sum(tree), ternary_weight(tree)) == (
+        depth, 3 * depth + 3, 5 * depth + 3)
+    assert validate(tree, COLORED_TERNARY).ok
+    copy = ternary_from_preorder(preorder)
+    assert tree == copy and hash(tree) == hash(copy)
+    assert tree != ternary_from_preorder(preorder[:-1] + [4])
+    # The first violation is found, with its path, at the bottom.
+    broken_ternary, broken_binary = leaf(-1), BinaryTree(LEAF, None)
+    for _ in range(depth):
+        broken_ternary = node(1, leaf(0), leaf(2), broken_ternary)
+        broken_binary = BinaryTree(LEAF, broken_binary)
+    report = validate(broken_ternary, COLORED_TERNARY)
+    assert (report.ok, report.path) == (False, (2,) * depth)
+    assert report.message == "color must be >= 0, got -1"
+    report = validate((LEAF, broken_binary), BINARY)
+    assert (report.ok, report.path) == (False, (1,) + (1,) * depth)
+    assert broken_binary == BinaryTree(LEAF, broken_binary.right)
+    assert hash(broken_ternary) == hash(node(1, leaf(0), leaf(2), broken_ternary.children[2]))
 
 
 # Parser fuzz.  Texts are raw bytes, or canonical texts cut short or with a
@@ -368,3 +477,18 @@ def test_dot_export_structure():
     assert '  v0 [shape=circle, label="1"];' in ternary_dot
     assert '  v0 -> v3 [label="3"];' in ternary_dot
     assert 'xlabel="2"' in ternary_dot
+
+
+def test_dot_matches_the_recursive_oracle():
+    # Every tree of weight <= 6, through the tree and through its preorder form.
+    for n in range(7):
+        for b in enumerate_binary(n):
+            expected = oracle_generators.to_dot(b, n)
+            assert to_dot(b, n) == expected and form_dot(binary_word(b), n) == expected
+        for t in enumerate_colored_ternary(n):
+            expected = oracle_generators.to_dot(t, n)
+            assert to_dot(t, n) == expected and form_dot(ternary_preorder(t), n) == expected
+    # Tree objects are drawn as they are, negative colors and odd child counts included.
+    for malformed in (leaf(-1), node(-2, leaf(-1), leaf(0), leaf(4)),
+                      ColoredTernaryTree(3, (leaf(1), node(0, leaf(), leaf(), leaf())))):
+        assert to_dot(malformed, 1) == oracle_generators.to_dot(malformed, 1)
