@@ -1,5 +1,10 @@
 """Exact big-integer kernel: binomials, Fuss-Catalan counts, identity evaluators.
 
+Every identity's left side is one by-parts sum over forests, and the two
+quinary identities share one alternating right side; the single-tree
+identities are evaluated as the m=1 case of the forest ones.  Their literal
+single-tree transcriptions are kept in the test suite as an oracle.
+
 Every quantity here is a plain Python int (arbitrary precision), so there is
 no overflow and no rounding anywhere.  All divisions hidden inside the
 Catalan-family formulas are checked: a nonzero remainder raises
@@ -23,7 +28,8 @@ class ExactnessError(ArithmeticError):
 class Identity(Enum):
     """The four verified identities, named by the tree family on their left side.
 
-    TERNARY         sum_p C3(p) * binom(n+p, 3p)  ==  Catalan(n)
+    TERNARY         sum_p C3(p) * binom(n+p, 3p)  ==  Catalan(n),
+                        the m=1 case of TERNARY_FOREST
     TERNARY_FOREST  sum_p FC3(p,m) * binom(n+p+m-1, n-2p)  ==  FC2(n,m)
     QUINARY_FOREST  sum_p FC5(p,m) * binom(n+p+m-1, n-4p)
                         ==  sum_p (-1)^p (m/(m+n)) binom(m+n+p-1, p) binom(m+2n-2p-1, n-2p)
@@ -104,34 +110,21 @@ def colored_ternary_count(n: int, p: int) -> Count:
     return k_catalan(p, 3) * binomial(n + p, n - 2 * p)
 
 
-def _ternary_lhs(n: int, m: int) -> int:
+def _forest_by_parts(k: int, n: int, m: int) -> int:
+    """sum_p FCk(p, m) * binom(n+p+m-1, n-(k-1)p), p from 0 to floor(n/(k-1)).
+
+    The left side of every identity.  FCk(p, m) is written out as in
+    forest_catalan, without the argument checks every term would repeat.
+    """
     total = 0
-    for p in range(n // 2 + 1):
-        total += _exact_div(binomial(3 * p + 1, p), 3 * p + 1) * binomial(n + p, 3 * p)
+    for p in range(n // (k - 1) + 1):
+        coeff = _exact_div(m * binomial(k * p + m, p), k * p + m)
+        total += coeff * binomial(n + p + m - 1, n - (k - 1) * p)
     return total
 
 
-def _ternary_forest_lhs(n: int, m: int) -> int:
-    total = 0
-    for p in range(n // 2 + 1):
-        coeff = _exact_div(m * binomial(3 * p + m, p), 3 * p + m)
-        total += coeff * binomial(n + p + m - 1, n - 2 * p)
-    return total
-
-
-def _quinary_forest_lhs(n: int, m: int) -> int:
-    total = 0
-    for p in range(n // 4 + 1):
-        coeff = _exact_div(m * binomial(5 * p + m, p), 5 * p + m)
-        total += coeff * binomial(n + p + m - 1, n - 4 * p)
-    return total
-
-
-def _quinary_lhs(n: int, m: int) -> int:
-    total = 0
-    for p in range(n // 4 + 1):
-        total += _exact_div(binomial(5 * p, p), 4 * p + 1) * binomial(n + p, 5 * p)
-    return total
+def _binary_forest_count(n: int, m: int) -> int:
+    return forest_catalan(n, 2, m)
 
 
 def _quinary_forest_rhs(n: int, m: int) -> int:
@@ -147,26 +140,12 @@ def _quinary_forest_rhs(n: int, m: int) -> int:
     return value
 
 
-def _quinary_rhs(n: int, m: int) -> int:
-    signed = 0
-    for p in range(n // 2 + 1):
-        term = binomial(n + p, n) * binomial(2 * n - 2 * p, n)
-        signed += -term if p % 2 else term
-    value = _exact_div(signed, n + 1)
-    if value < 0:
-        raise ExactnessError(f"alternating sum evaluated negative: {value} at n={n}")
-    return value
-
-
+# Each identity's arity k, whose by-parts sum is its left side, and its right side.
 _EVALUATORS = {
-    (Identity.TERNARY, Side.LHS): _ternary_lhs,
-    (Identity.TERNARY, Side.RHS): lambda n, m: _exact_div(binomial(2 * n, n), n + 1),
-    (Identity.TERNARY_FOREST, Side.LHS): _ternary_forest_lhs,
-    (Identity.TERNARY_FOREST, Side.RHS): lambda n, m: forest_catalan(n, 2, m),
-    (Identity.QUINARY_FOREST, Side.LHS): _quinary_forest_lhs,
-    (Identity.QUINARY_FOREST, Side.RHS): _quinary_forest_rhs,
-    (Identity.QUINARY, Side.LHS): _quinary_lhs,
-    (Identity.QUINARY, Side.RHS): _quinary_rhs,
+    Identity.TERNARY: (3, _binary_forest_count),
+    Identity.TERNARY_FOREST: (3, _binary_forest_count),
+    Identity.QUINARY_FOREST: (5, _quinary_forest_rhs),
+    Identity.QUINARY: (5, _quinary_forest_rhs),
 }
 
 # Identities stated only for a single component: m must be exactly 1.
@@ -176,9 +155,9 @@ _SINGLE_COMPONENT = (Identity.TERNARY, Identity.QUINARY)
 def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
     """Evaluate one side of one identity exactly.
 
-    Each side is a direct transcription of its closed form; sums over p run
-    to floor(n/2) or floor(n/4) as the formulas state.  For the two
-    single-component identities m must be 1.
+    The single-tree identities are evaluated as the m=1 case of their forest
+    identities, and for them m must be 1.  Sums over p run to floor(n/2) or
+    floor(n/4) as the formulas state.
     """
     if n < 0:
         raise ValueError(f"identity_side requires n >= 0, got n={n}")
@@ -186,4 +165,9 @@ def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
         raise ValueError(f"identity_side requires m >= 1, got m={m}")
     if identity in _SINGLE_COMPONENT and m != 1:
         raise ValueError(f"{identity.value} is a single-component identity; m must be 1, got m={m}")
-    return _EVALUATORS[(identity, side)](n, m)
+    k, rhs = _EVALUATORS[identity]
+    if side is Side.RHS:
+        return rhs(n, m)
+    if side is not Side.LHS:
+        raise ValueError(f"identity_side requires a Side, got {side!r}")
+    return _forest_by_parts(k, n, m)

@@ -184,17 +184,29 @@ def _check_cap(n: int, max_n: int | None) -> None:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to total, lexicographically ascending."""
+    """All tuples of `parts` nonnegative ints summing to total, lexicographically ascending.
+
+    Iterative, in one frame: the successor of a composition moves one unit
+    from its rightmost nonzero part after the first to the part before it,
+    and the rest of that part to the last part.
+    """
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
+    composition = [0] * parts
+    composition[-1] = total
+    while True:
+        yield tuple(composition)
+        right = parts - 1
+        while right and not composition[right]:
+            right -= 1
+        if not right:
+            return
+        rest = composition[right] - 1
+        composition[right] = 0
+        composition[right - 1] += 1
+        composition[-1] = rest
 
 
 def _products(prefix, total: int, count: int, parts, arg) -> Iterator:

@@ -17,16 +17,6 @@ from . import bijection, series, trees
 from .exact import (Identity, Side, colored_ternary_count, forest_catalan,
                     identity_side, k_catalan, binomial)
 
-SUITES = ("identities", "bijection", "series", "counts", "all")
-
-# Acceptance bounds per suite: (n_max, m_max, order) defaults.
-_DEFAULTS = {
-    "identities": {"n_max": 60, "m_max": 8},
-    "bijection": {"n_max": 8, "m_max": 4},
-    "series": {"order": 64, "m_max": 6},
-    "counts": {"n_max": 10, "m_max": 4},
-}
-
 
 @dataclass(frozen=True)
 class CaseFailure:
@@ -115,17 +105,6 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _bounds(suite: str, n_max, m_max, order) -> dict:
-    chosen = dict(_DEFAULTS[suite])
-    if n_max is not None and "n_max" in chosen:
-        chosen["n_max"] = n_max
-    if m_max is not None and "m_max" in chosen:
-        chosen["m_max"] = m_max
-    if order is not None and "order" in chosen:
-        chosen["order"] = order
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # identities suite
 # ---------------------------------------------------------------------------
@@ -189,12 +168,6 @@ def _identities_suite(n_max: int, m_max: int) -> list[CheckResult]:
 # bijection suite
 # ---------------------------------------------------------------------------
 
-def _colored_forest_count(n: int, m: int) -> int:
-    """Colored ternary m-forests of weight n, summed by internal-vertex count p."""
-    return sum(forest_catalan(p, 3, m) * binomial(m + n + p - 1, n - 2 * p)
-               for p in range(n // 2 + 1))
-
-
 def _check_tree_bijection(n_max: int) -> CheckResult:
     # The public maps on tree objects, so that the conversions around
     # encode and decode are checked too; the forest check runs on forms.
@@ -236,7 +209,7 @@ def _check_forest_bijection(n_max: int, m_max: int) -> CheckResult:
         for n in range(n_max + 1):
             colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
             result.case({"n": n, "m": m, "property": "colored_count"},
-                        _colored_forest_count(n, m), len(colored))
+                        identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m), len(colored))
             images = []
             for forest in colored:
                 image = tuple(map(bijection.encode, forest))
@@ -373,8 +346,11 @@ def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
     result = CheckResult("forest_generators", {"n_max": n_max, "m_max": m_max})
     for m in range(1, m_max + 1):
         for n in range(n_max + 1):
+            # The ternary forest identity's left side counts colored ternary
+            # m-forests of weight n by their internal vertices.
+            colored = identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m)
             for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
-                                     (trees.COLORED_TERNARY, _colored_forest_count(n, m))):
+                                     (trees.COLORED_TERNARY, colored)):
                 total = sum(1 for _ in trees.enumerate_forest_forms(family, n, m, max_n=n_max))
                 result.case({"n": n, "m": m, "family": family}, expected, total)
     return result
@@ -392,22 +368,26 @@ def _counts_suite(n_max: int, m_max: int) -> list[CheckResult]:
 # Entry point
 # ---------------------------------------------------------------------------
 
+# Each suite's checks and acceptance bounds, in the order `all` runs them.
+_SUITES = {
+    "identities": (_identities_suite, {"n_max": 60, "m_max": 8}),
+    "bijection": (_bijection_suite, {"n_max": 8, "m_max": 4}),
+    "series": (_series_suite, {"order": 64, "m_max": 6}),
+    "counts": (_counts_suite, {"n_max": 10, "m_max": 4}),
+}
+SUITES = (*_SUITES, "all")
+
+
 def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
               order: int | None = None) -> VerificationReport:
     """Run one suite (or `all`) and return its report; bounds default to acceptance bounds."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     started = time.perf_counter()
+    given = {"n_max": n_max, "m_max": m_max, "order": order}
     checks: list[CheckResult] = []
-    wanted = SUITES[:-1] if suite == "all" else (suite,)
-    for name in wanted:
-        bounds = _bounds(name, n_max, m_max, order)
-        if name == "identities":
-            checks.extend(_identities_suite(bounds["n_max"], bounds["m_max"]))
-        elif name == "bijection":
-            checks.extend(_bijection_suite(bounds["n_max"], bounds["m_max"]))
-        elif name == "series":
-            checks.extend(_series_suite(bounds["order"], bounds["m_max"]))
-        elif name == "counts":
-            checks.extend(_counts_suite(bounds["n_max"], bounds["m_max"]))
+    for name in _SUITES if suite == "all" else (suite,):
+        build, defaults = _SUITES[name]
+        checks.extend(build(**{key: default if given[key] is None else given[key]
+                               for key, default in defaults.items()}))
     return VerificationReport(suite, checks, elapsed_seconds=time.perf_counter() - started)

@@ -14,6 +14,7 @@ from fussforest.cli import (
     EXIT_FAMILY,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     main,
@@ -95,6 +96,16 @@ def test_enumerate_cap_override(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "colored-ternary", "--n", "15",
                        "--p", "0", "--max-n", "15")
     assert code == EXIT_OK and out == "15\n"
+
+
+def test_resource_exhaustion_has_its_own_exit_code(capsys):
+    # Binary shape generators still nest one frame per tree level, so the
+    # first tree, 1000 levels deep, runs out of stack: not exit 1, which
+    # means a verification failed, and no traceback.
+    code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "1000",
+                         "--max-n", "1000")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_enumerate_to_file(tmp_path, capsys):

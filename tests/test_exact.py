@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle_identities as oracle
+
 from fussforest.exact import (
     ExactnessError,
     Identity,
@@ -147,11 +149,38 @@ def test_identity_sides_agree_on_a_smoke_sweep():
 
 
 def test_forest_identity_at_m1_reduces_to_single_tree():
-    for n in range(30):
-        assert identity_side(Identity.TERNARY_FOREST, Side.LHS, n, 1) == \
-            identity_side(Identity.TERNARY, Side.LHS, n)
-        assert identity_side(Identity.QUINARY_FOREST, Side.LHS, n, 1) == \
-            identity_side(Identity.QUINARY, Side.LHS, n)
+    # The library evaluates the single-tree identities as the m=1 case, so
+    # the forest sides at m=1 are compared with the literal single-tree forms.
+    for n in range(61):
+        assert identity_side(Identity.TERNARY_FOREST, Side.LHS, n, 1) == oracle.ternary_lhs(n)
+        assert identity_side(Identity.TERNARY_FOREST, Side.RHS, n, 1) == oracle.catalan(n)
+        assert identity_side(Identity.QUINARY_FOREST, Side.LHS, n, 1) == oracle.quinary_lhs(n)
+        assert identity_side(Identity.QUINARY_FOREST, Side.RHS, n, 1) == oracle.quinary_rhs(n)
+
+
+# Each side's literal transcription in tests/oracle_identities.py.  The forest
+# identities' right sides have none, so they are checked against the literal
+# left side they equal.
+ORACLE_SIDES = {
+    (Identity.TERNARY, Side.LHS): lambda n, m: oracle.ternary_lhs(n),
+    (Identity.TERNARY, Side.RHS): lambda n, m: oracle.catalan(n),
+    (Identity.TERNARY_FOREST, Side.LHS): oracle.ternary_forest_lhs,
+    (Identity.TERNARY_FOREST, Side.RHS): oracle.ternary_forest_lhs,
+    (Identity.QUINARY_FOREST, Side.LHS): oracle.quinary_forest_lhs,
+    (Identity.QUINARY_FOREST, Side.RHS): oracle.quinary_forest_lhs,
+    (Identity.QUINARY, Side.LHS): lambda n, m: oracle.quinary_lhs(n),
+    (Identity.QUINARY, Side.RHS): lambda n, m: oracle.quinary_rhs(n),
+}
+
+
+@pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+@pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+def test_identity_sides_match_the_literal_oracle(identity, side):
+    ms = (1,) if identity in (Identity.TERNARY, Identity.QUINARY) else range(1, 9)
+    expected = ORACLE_SIDES[(identity, side)]
+    for n in range(101):
+        for m in ms:
+            assert identity_side(identity, side, n, m) == expected(n, m), (n, m)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
@@ -171,6 +200,8 @@ def test_identity_side_validates_arguments():
         identity_side(Identity.TERNARY_FOREST, Side.LHS, -1, 1)
     with pytest.raises(ValueError):
         identity_side(Identity.TERNARY_FOREST, Side.LHS, 1, 0)
+    with pytest.raises(ValueError):
+        identity_side(Identity.TERNARY_FOREST, "lhs", 1, 1)
 
 
 def test_exactness_error_is_an_arithmetic_error():

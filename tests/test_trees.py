@@ -45,6 +45,7 @@ from fussforest.trees import (
     to_dot,
     validate,
 )
+from fussforest.trees import _weak_compositions
 
 
 def test_vertex_statistics():
@@ -171,6 +172,20 @@ def test_forest_order_matches_the_recursive_oracle():
                 assert list(enumerate_forests(family, n, m)) == expected
                 assert list(enumerate_forest_forms(family, n, m)) == [
                     tuple(map(form, forest)) for forest in expected]
+
+
+def test_weak_compositions_match_the_recursive_oracle():
+    for total in range(9):
+        for parts in range(8):
+            assert list(_weak_compositions(total, parts)) == list(
+                oracle_generators.weak_compositions(total, parts)), (total, parts)
+
+
+def test_colors_of_a_large_colored_tree_take_no_frame_per_vertex():
+    # 1801 vertices share 100 color units, deeper than the default recursion
+    # limit if each part of a weak composition took a frame.
+    first = next(enumerate_ternary_preorders(1300, 600, max_n=1300))
+    assert first == [~0, 0, 0] * 600 + [100]
 
 
 def test_enumerate_forest_rejects_bad_arguments():
