@@ -87,10 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_number(args) -> int:
+    # str() of an int over 4300 digits raises ValueError (the interpreter's
+    # int-to-str limit); an exact Decimal of the int has no such limit.
+    # Imported here so that start-up does not pay for it.
+    import decimal
+
     if args.m is None:
-        print(k_catalan(args.n, args.k))
+        count = k_catalan(args.n, args.k)
     else:
-        print(forest_catalan(args.n, args.k, args.m))
+        count = forest_catalan(args.n, args.k, args.m)
+    print(str(decimal.Decimal(count)))
     return EXIT_OK
 
 

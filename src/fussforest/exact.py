@@ -3,7 +3,11 @@
 Every identity's left side is one by-parts sum over forests, and the two
 quinary identities share one alternating right side; the single-tree
 identities are evaluated as the m=1 case of the forest ones.  Their literal
-single-tree transcriptions are kept in the test suite as an oracle.
+single-tree transcriptions are kept in the test suite as an oracle.  Both
+sums are hypergeometric (Petkovsek-Wilf-Zeilberger, *A=B*): each computes
+its first term as one binomial and every later term from the one before it,
+by one big-by-small product and one checked exact division, so a sum over
+n/2 terms costs O(n) such steps instead of two binomials per term.
 
 Every quantity here is a plain Python int (arbitrary precision), so there is
 no overflow and no rounding anywhere.  All divisions hidden inside the
@@ -110,17 +114,32 @@ def colored_ternary_count(n: int, p: int) -> Count:
     return k_catalan(p, 3) * binomial(n + p, n - 2 * p)
 
 
-def _forest_by_parts(k: int, n: int, m: int) -> int:
-    """sum_p FCk(p, m) * binom(n+p+m-1, n-(k-1)p), p from 0 to floor(n/(k-1)).
+def by_parts_terms(k: int, n: int, m: int):
+    """Yield FCk(p, m) * binom(n+p+m-1, n-(k-1)p) for p from 0 to floor(n/(k-1)).
 
-    The left side of every identity.  FCk(p, m) is written out as in
-    forest_catalan, without the argument checks every term would repeat.
+    The terms of the by-parts sum, each computed from the one before it.
+    Term p is m (n+p+m-1)! / (p! ((k-1)p+m)! (n-(k-1)p)!), so term 0 is
+    binom(n+m-1, n) and the ratio of term p+1 to term p is
+
+        (n+p+m) * prod_{j<k-1} (n-(k-1)p-j)  /  ((p+1) * prod_{j=1..k-1} ((k-1)p+m+j)).
+
+    Each step is one big-by-small product and one checked exact division.
     """
-    total = 0
-    for p in range(n // (k - 1) + 1):
-        coeff = _exact_div(m * binomial(k * p + m, p), k * p + m)
-        total += coeff * binomial(n + p + m - 1, n - (k - 1) * p)
-    return total
+    term = binomial(n + m - 1, n)
+    yield term
+    for p in range(n // (k - 1)):
+        rest, parts = n - (k - 1) * p, (k - 1) * p + m
+        numerator, denominator = n + p + m, p + 1
+        for j in range(k - 1):
+            numerator *= rest - j
+            denominator *= parts + j + 1
+        term = _exact_div(term * numerator, denominator)
+        yield term
+
+
+def _forest_by_parts(k: int, n: int, m: int) -> int:
+    """The left side of every identity: the sum of :func:`by_parts_terms`."""
+    return sum(by_parts_terms(k, n, m))
 
 
 def _binary_forest_count(n: int, m: int) -> int:
@@ -128,12 +147,20 @@ def _binary_forest_count(n: int, m: int) -> int:
 
 
 def _quinary_forest_rhs(n: int, m: int) -> int:
-    # Alternating sum; the common factor m/(m+n) is pulled out so the signed
-    # part stays in plain integers, then divided back exactly at the end.
-    signed = 0
-    for p in range(n // 2 + 1):
-        term = binomial(m + n + p - 1, p) * binomial(m + 2 * n - 2 * p - 1, n - 2 * p)
-        signed += -term if p % 2 else term
+    """sum_p (-1)^p binom(m+n+p-1, p) binom(m+2n-2p-1, n-2p), times m/(m+n).
+
+    The common factor m/(m+n) is pulled out so the signed part stays in
+    plain integers, then divided back exactly at the end.  Term 0 is
+    binom(m+2n-1, n), and the ratio of term p+1 to term p is
+    (m+n+p)(n-2p)(n-2p-1) / ((p+1)(m+2n-2p-1)(m+2n-2p-2)).
+    """
+    term = binomial(m + 2 * n - 1, n)
+    signed = term
+    for p in range(n // 2):
+        rest = m + 2 * n - 2 * p
+        term = _exact_div(term * ((m + n + p) * (n - 2 * p) * (n - 2 * p - 1)),
+                          (p + 1) * (rest - 1) * (rest - 2))
+        signed += term if p % 2 else -term
     value = _exact_div(m * signed, m + n)
     if value < 0:
         raise ExactnessError(f"alternating sum evaluated negative: {value} at n={n}, m={m}")

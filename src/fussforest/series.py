@@ -9,8 +9,9 @@ Functional equations are checked in denominator-cleared polynomial form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .exact import binomial, forest_catalan, identity_side, Identity, Side
+from .exact import _exact_div, binomial, forest_catalan, identity_side, Identity, Side
 
 
 @dataclass(frozen=True)
@@ -122,43 +123,51 @@ def geometric_series_power(j: int, order: int) -> TruncatedSeries:
 def fuss_catalan_series(k: int, order: int) -> TruncatedSeries:
     """The series s with constant term 1 satisfying s = 1 + x*s^k, coefficientwise.
 
-    Fixed-point iteration from s = 1; each pass freezes at least one further
-    coefficient, so order+1 passes settle everything up to the truncation.
-    Coefficient i equals k_catalan(i, k).
+    With P = s^k the equation reads s_n = P_(n-1), and J.C.P. Miller's power
+    recurrence (Knuth, TAOCP 2 section 4.7), which follows from s*P' = k*s'*P,
+    gives n*P_n = sum_(i=1..n) ((k+1)i - n) s_i P_(n-i).  Each coefficient
+    costs O(n) products and one checked exact division by n, O(order^2) in
+    all.  Coefficient i equals k_catalan(i, k), which is never called here.
     """
     if k < 2:
         raise ValueError(f"fuss_catalan_series requires k >= 2, got {k}")
     if order < 0:
         raise ValueError(f"fuss_catalan_series requires order >= 0, got {order}")
-    if order == 0:
-        return TruncatedSeries.constant(1, 0)
-    x = TruncatedSeries.x(order)
-    s = TruncatedSeries.constant(1, order)
-    for _ in range(order + 1):
-        s = x * s ** k + 1
-    return s
-
-
-def _substitution_inner(k: int, order: int) -> TruncatedSeries:
-    # x^(k-1)/(1-x)^k: coefficient of x^i is binom(i, k-1).
-    return TruncatedSeries(tuple(binomial(i, k - 1) for i in range(order + 1)))
+    s, power = [1], [1]
+    for n in range(1, order + 1):
+        s.append(power[n - 1])
+        if n < order:
+            power.append(_exact_div(
+                sum(((k + 1) * i - n) * s[i] * power[n - i] for i in range(1, n + 1)), n))
+    return TruncatedSeries(tuple(s))
 
 
 def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     """Ordinary generating series of colored complete k-ary trees by weight.
 
     Weight counts (k-1) per internal vertex plus the color sum, so the series
-    is C_k(x^(k-1)/(1-x)^k) / (1-x) where C_k solves s = 1 + x*s^k.  Before
-    returning, the defining functional equation is re-checked in cleared form
-    F - x^(k-1)*F^k = 1 + x*F; a failure means the substitution was built
-    wrong.
+    is C_k(x^(k-1)/(1-x)^k) / (1-x) where C_k solves s = 1 + x*s^k.  The
+    substitution runs Horner over C_k's coefficients; multiplying by the
+    inner series is a shift by k-1 followed by k running sums (each one a
+    factor 1/(1-x)), and one more running sum applies the final 1/(1-x).  That
+    is O(k * order^2) additions, with no multiplications and no binomials.
+    Before returning, the defining functional equation is re-checked in
+    cleared form F - x^(k-1)*F^k = 1 + x*F; a failure means the substitution
+    was built wrong.
     """
     if k < 2:
         raise ValueError(f"colored_tree_series requires k >= 2, got {k}")
     if order < 0:
         raise ValueError(f"colored_tree_series requires order >= 0, got {order}")
-    outer = fuss_catalan_series(k, order)
-    f = geometric_series_power(1, order) * outer.compose(_substitution_inner(k, order))
+    # Coefficient p of C_k first shows at x^((k-1)p), so later ones are cut off.
+    outer = fuss_catalan_series(k, order // (k - 1))
+    acc = [0] * (order + 1)
+    for a in reversed(outer.coeffs):
+        acc = ([0] * (k - 1) + acc)[:order + 1]
+        for _ in range(k):
+            acc = list(accumulate(acc))
+        acc[0] += a
+    f = TruncatedSeries(tuple(accumulate(acc)))
     if order >= 1:
         x = TruncatedSeries.x(order)
         lhs = f - f ** k * x ** (k - 1)

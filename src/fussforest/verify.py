@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import bijection, series, trees
-from .exact import (Identity, Side, colored_ternary_count, forest_catalan,
-                    identity_side, k_catalan, binomial)
+from .exact import (Identity, Side, binomial, by_parts_terms, colored_ternary_count,
+                    forest_catalan, identity_side, k_catalan)
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,12 @@ def _check_identities(n_max: int, m_max: int) -> list[CheckResult]:
 
 
 def _check_forest_single_component(n_max: int) -> CheckResult:
-    # At m=1 the forest identity must agree with the single-tree one termwise.
+    # At m=1 each by-parts term, computed from the one before it, must equal
+    # the single-tree identity's term C3(p) * binom(n+p, 3p) written out.
     result = CheckResult("ternary_forest_m1_termwise", {"n_max": n_max})
     for n in range(n_max + 1):
-        for p in range(n // 2 + 1):
-            result.case(
-                {"n": n, "p": p},
-                binomial(n + p, 3 * p),
-                binomial(n + p, n - 2 * p),
-            )
+        for p, term in enumerate(by_parts_terms(3, n, 1)):
+            result.case({"n": n, "p": p}, k_catalan(p, 3) * binomial(n + p, 3 * p), term)
     return result
 
 

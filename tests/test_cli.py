@@ -43,6 +43,19 @@ def test_number_forest(capsys):
     assert code == EXIT_OK and out == "7\n"
 
 
+@pytest.mark.parametrize("k, n, digits, tail", [
+    (2, 8192, 4926, "3222663750"),
+    (5, 4096, 4445, "2056091885"),
+])
+def test_number_prints_counts_past_the_int_to_str_digit_limit(capsys, k, n, digits, tail):
+    # Python refuses str() of an int over 4300 digits; number must not.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "number", "--k", str(k), "--n", str(n))
+    assert code == EXIT_OK
+    assert len(out) == digits + 1 and out.endswith(tail + "\n") and out[:-1].isdigit()
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_number_rejects_bad_arity(capsys):
     code, _, err = run(capsys, "number", "--k", "1", "--n", "4")
     assert code == EXIT_USAGE and "k >= 2" in err
@@ -286,6 +299,17 @@ def test_verify_stdout_is_deterministic(capsys):
     second = run(capsys, "verify", "--suite", "series", "--order", "12", "--m-max", "2")
     assert first[0] == second[0] == EXIT_OK
     assert first[1] == second[1]
+
+
+@pytest.mark.parametrize("suite, bounds, cases", [
+    ("series", ["--order", "128", "--m-max", "6"], 1363),
+    ("identities", ["--n-max", "300", "--m-max", "8"], 28520),
+])
+def test_verify_at_high_order(capsys, suite, bounds, cases):
+    # The benchmark's high_order calls, with their case counts.
+    code, out, _ = run(capsys, "verify", "--suite", suite, *bounds)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == f"suite {suite}: PASS (cases={cases}, failures=0)"
 
 
 def test_verify_rejects_unknown_suite(capsys):

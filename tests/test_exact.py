@@ -10,6 +10,7 @@ from fussforest.exact import (
     Identity,
     Side,
     binomial,
+    by_parts_terms,
     colored_ternary_count,
     forest_catalan,
     identity_side,
@@ -178,9 +179,19 @@ ORACLE_SIDES = {
 def test_identity_sides_match_the_literal_oracle(identity, side):
     ms = (1,) if identity in (Identity.TERNARY, Identity.QUINARY) else range(1, 9)
     expected = ORACLE_SIDES[(identity, side)]
-    for n in range(101):
+    # The sums step from term to term by ratios; large n shows a wrong one too.
+    for n in (*range(101), 499, 500):
         for m in ms:
             assert identity_side(identity, side, n, m) == expected(n, m), (n, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_by_parts_terms_are_the_literal_terms(k):
+    for n in range(40):
+        for m in range(1, 6):
+            terms = list(by_parts_terms(k, n, m))
+            assert terms == [forest_catalan(p, k, m) * binomial(n + p + m - 1, n - (k - 1) * p)
+                             for p in range(n // (k - 1) + 1)], (n, m)
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))

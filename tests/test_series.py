@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle_series as oracle
+
+from fussforest import exact, series
 from fussforest.exact import forest_catalan, identity_side, k_catalan, Identity, Side
 from fussforest.series import (
     TruncatedSeries,
@@ -96,6 +99,36 @@ def test_fuss_catalan_series_matches_closed_form():
         s = fuss_catalan_series(k, 24)
         for i in range(25):
             assert s[i] == k_catalan(i, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
+def test_fuss_catalan_series_matches_the_fixed_point_oracle(k):
+    # A truncation of the series is a prefix of every longer one.
+    expected = oracle.fuss_catalan_series(k, 48).coeffs
+    for order in range(49):
+        assert fuss_catalan_series(k, order).coeffs == expected[:order + 1], order
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_colored_tree_series_matches_the_compose_oracle(k):
+    expected = oracle.colored_tree_series(k, 40).coeffs
+    for order in range(41):
+        assert colored_tree_series(k, order).coeffs == expected[:order + 1], order
+
+
+def test_series_route_reaches_no_closed_form(monkeypatch):
+    # The series are one witness and the closed forms the other: the series
+    # kernels must run with every closed form unreachable.
+    def closed_form(*args):
+        raise AssertionError("the series route called a closed form")
+
+    for owner in (exact, series):
+        for name in ("k_catalan", "forest_catalan", "binomial"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, closed_form)
+    for k in (2, 3, 5):
+        assert fuss_catalan_series(k, 64)[64] > 0
+        assert colored_tree_series(k, 64)[64] > 0
 
 
 def test_fuss_catalan_series_satisfies_its_equation():

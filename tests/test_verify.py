@@ -85,3 +85,21 @@ def test_bijection_suite_checks_the_public_maps(monkeypatch):
             patch.setattr(bijection, name, lambda tree: constant)
             report = verify.run_suite("bijection", n_max=3, m_max=2)
         assert [c.name for c in report.checks if c.failures] == ["tree_bijection"], name
+
+
+def test_termwise_check_fails_on_one_perturbed_term(monkeypatch):
+    # ternary_forest_m1_termwise compares each by-parts term with the
+    # single-tree term written out; one wrong term must show as one failure.
+    real = verify.by_parts_terms
+
+    def perturbed(k, n, m):
+        for p, term in enumerate(real(k, n, m)):
+            yield term + (n == 7 and p == 2)
+
+    monkeypatch.setattr(verify, "by_parts_terms", perturbed)
+    report = verify.run_suite("identities", n_max=10, m_max=2)
+    failed = {c.name: c.failures for c in report.checks if c.failures}
+    assert list(failed) == ["ternary_forest_m1_termwise"]
+    [failure] = failed["ternary_forest_m1_termwise"]
+    assert failure.params == {"n": 7, "p": 2}
+    assert int(failure.actual) == int(failure.expected) + 1
