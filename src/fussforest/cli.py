@@ -2,13 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
-family mismatch, 6 out of resources (Python's recursion limit or memory; the
-binary shape generator nests one frame per tree level, so ``enumerate`` of
-binary trees about 1000 levels deep ends this way).  Stdout is deterministic
-for identical invocations; counts and timing go to stderr.  When the reader
-of stdout goes away early (as in ``fussforest enumerate ... | head -1``),
-the command stops quietly with exit 0: what was written is all the reader
-asked for.
+family mismatch, 6 out of resources (Python's recursion limit or memory).
+Stdout is deterministic for identical invocations; counts and timing go to
+stderr.  When the reader of stdout goes away early (as in
+``fussforest enumerate ... | head -1``), the command stops quietly with
+exit 0: what was written is all the reader asked for.
 
 ``map`` reads every line before it writes anything, so a line that does not
 parse, or parses as the other family, leaves no output.

@@ -183,61 +183,60 @@ def _check_cap(n: int, max_n: int | None) -> None:
         )
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to total, lexicographically ascending.
-
-    Iterative, in one frame: the successor of a composition moves one unit
-    from its rightmost nonzero part after the first to the part before it,
-    and the rest of that part to the last part.
+def _next_composition(parts: list[int]) -> bool:
+    """Step `parts` in place to the next weak composition in ascending
+    lexicographic order: move one unit from the rightmost nonzero part after
+    the first to the part before it, and the rest of that part to the last
+    part.  After the last composition, return False and leave `parts` as is.
     """
+    right = len(parts) - 1
+    while right > 0 and not parts[right]:
+        right -= 1
+    if right <= 0:
+        return False
+    parts[right - 1] += 1
+    parts[right], parts[-1] = 0, parts[right] - 1
+    return True
+
+
+def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of `parts` nonnegative ints summing to total, lexicographically ascending."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    composition = [0] * parts
-    composition[-1] = total
-    while True:
+    composition = [0] * (parts - 1) + [total]
+    yield tuple(composition)
+    while _next_composition(composition):
         yield tuple(composition)
-        right = parts - 1
-        while right and not composition[right]:
-            right -= 1
-        if not right:
-            return
-        rest = composition[right] - 1
-        composition[right] = 0
-        composition[right - 1] += 1
-        composition[-1] = rest
-
-
-def _products(prefix, total: int, count: int, parts, arg) -> Iterator:
-    """prefix + a1 + ... + a_count for each weak composition (s1, ..., s_count)
-    of total, ascending, and each a_i from parts(s_i, arg), a1 varying slowest.
-
-    One frame holds the generators of all the parts, so each level of
-    nested products costs one frame.
-    """
-    for sizes in _weak_compositions(total, count):
-        gens, prefixes = [parts(sizes[0], arg)], [prefix]
-        while gens:
-            part = next(gens[-1], None)
-            if part is None:
-                gens.pop()
-                prefixes.pop()
-            elif len(gens) == count:
-                yield prefixes[-1] + part
-            else:
-                prefixes.append(prefixes[-1] + part)
-                gens.append(parts(sizes[len(gens)], arg))
 
 
 def _shape_words(p: int, k: int) -> Iterator[str]:
     """Preorder words of the complete k-ary trees with p internal vertices.
 
-    Child sizes run through the weak compositions of p - 1 into k parts in
-    ascending lexicographic order; for each, the children's own words vary,
-    the first child's slowest.
+    Vertex by vertex in preorder, child sizes run through the weak
+    compositions of size - 1 into k parts, ascending: from the right comb to
+    the left comb.  A step, in one frame, scans from the right with a stack of
+    subtree sizes; the first vertex whose child sizes step is the last that
+    can, and its children and all subtrees after it restart as right combs.
     """
-    return iter(("0",)) if p == 0 else _products("1", p - 1, k, _shape_words, k)
+    unit = "1" + "0" * (k - 1)
+    word = unit * p + "0"
+    while True:
+        yield word
+        sizes = []  # internal sizes of the subtrees right of the scan, the nearest last
+        for index in range(len(word) - 1, -1, -1):
+            if word[index] == "1":
+                children = sizes[:-k - 1:-1]
+                del sizes[-k:]
+                if _next_composition(children):
+                    break
+                sizes.append(sum(children) + 1)
+            else:
+                sizes.append(0)
+        else:
+            return
+        word = word[:index] + "1" + "".join(unit * s + "0" for s in children + sizes[::-1])
 
 
 def _ternary_preorders(n: int, p: int | None) -> Iterator[list[int]]:
@@ -255,7 +254,8 @@ def _ternary_preorders(n: int, p: int | None) -> Iterator[list[int]]:
 def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
     """Yield the preorder word of every binary tree with n internal vertices, once each.
 
-    Order is fixed: left subtree internal size ascending 0..n-1, recursively.
+    Order is fixed: left subtree internal size ascending 0..n-1, recursively;
+    each word is the successor step of :func:`_shape_words` on the one before.
     Total count equals k_catalan(n, 2).
     """
     _check_cap(n, max_n)
@@ -273,9 +273,8 @@ def enumerate_ternary_preorders(n: int, p: int | None = None,
 
     With p given, restricts to trees with p internal vertices (color sum
     n-2p); an out-of-range p yields nothing.  With p None, runs p ascending
-    from 0 to floor(n/2).  Shapes come in the order of child sizes
-    ascending lexicographically, recursively, and colors as weak
-    compositions of n-2p assigned to vertices in preorder.
+    from 0 to floor(n/2).  Shapes come in the order of :func:`_shape_words`
+    and colors as weak compositions of n-2p assigned to vertices in preorder.
     """
     if p is not None and p < 0:
         raise ValueError(f"p must be >= 0, got p={p}")
@@ -289,12 +288,6 @@ def enumerate_colored_ternary(n: int, p: int | None = None,
     return map(ternary_from_preorder, enumerate_ternary_preorders(n, p, max_n))
 
 
-def _component_forms(weight: int, family: str) -> Iterator[tuple]:
-    """Each form of one forest component, as a 1-tuple to concatenate."""
-    forms = _shape_words(weight, 2) if family == BINARY else _ternary_preorders(weight, None)
-    return ((form,) for form in forms)
-
-
 def enumerate_forest_forms(family: str, n: int, m: int,
                            max_n: int | None = None) -> Iterator[tuple]:
     """Yield every ordered m-tuple of forms with total weight n, exactly once.
@@ -303,14 +296,19 @@ def enumerate_forest_forms(family: str, n: int, m: int,
     the internal-vertex count of a binary tree and :func:`ternary_weight`
     of a colored one.  Outer order is the weak composition of n into m
     component weights (lexicographic ascending), inner order the
-    per-component generators, the first component's slowest.
+    per-component generators, the first component's slowest.  The call lists
+    every component form of weight <= n; colored forests get lists of their own.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got m={m}")
     _check_cap(n, max_n)
-    return _products((), n, m, _component_forms, family)
+    forms = [list(_shape_words(s, 2) if family == BINARY else _ternary_preorders(s, None))
+             for s in range(n + 1)]
+    forests = itertools.chain.from_iterable(
+        itertools.product(*(forms[s] for s in sizes)) for sizes in _weak_compositions(n, m))
+    return forests if family == BINARY else (tuple(map(list, forest)) for forest in forests)
 
 
 def enumerate_forests(family: str, n: int, m: int,

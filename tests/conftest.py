@@ -5,9 +5,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+import itertools  # noqa: E402
+
 from hypothesis import strategies as st  # noqa: E402
 
-from fussforest.trees import LEAF, BinaryTree, leaf, node  # noqa: E402
+from fussforest.trees import LEAF, BinaryTree, enumerate_binary_words, leaf, node  # noqa: E402
 
 # Random complete trees, small enough for exhaustive-style properties.
 binary_trees = st.recursive(
@@ -20,4 +22,11 @@ colored_ternary_trees = st.recursive(
     st.integers(min_value=0, max_value=3).map(leaf),
     lambda child: st.builds(node, st.integers(min_value=0, max_value=3), child, child, child),
     max_leaves=20,
+)
+
+# Binary words 10^4 to 2*10^4 levels deep: the j-th word of a size, j <= 30.
+deep_binary_words = st.builds(
+    lambda n, j: next(itertools.islice(enumerate_binary_words(n, max_n=n), j, None)),
+    st.integers(min_value=10_000, max_value=20_000),
+    st.integers(min_value=0, max_value=30),
 )

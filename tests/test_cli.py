@@ -19,6 +19,7 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from fussforest import trees
 from fussforest.trees import parse_binary, to_dot
 
 
@@ -111,12 +112,15 @@ def test_enumerate_cap_override(capsys):
     assert code == EXIT_OK and out == "15\n"
 
 
-def test_resource_exhaustion_has_its_own_exit_code(capsys):
-    # Binary shape generators still nest one frame per tree level, so the
-    # first tree, 1000 levels deep, runs out of stack: not exit 1, which
-    # means a verification failed, and no traceback.
-    code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "1000",
-                         "--max-n", "1000")
+@pytest.mark.parametrize("exhaustion", [RecursionError, MemoryError], ids=["recursion", "memory"])
+def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhaustion):
+    # Running out of stack or memory is not exit 1, which means a
+    # verification failed, and prints no traceback.
+    def exhausted(*args, **kwargs):
+        raise exhaustion("out of it")
+
+    monkeypatch.setattr(trees, "enumerate_binary_words", exhausted)
+    code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "3")
     assert code == EXIT_RESOURCE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
@@ -220,13 +224,18 @@ def test_map_dot_has_no_depth_limit(tmp_path, capsys, monkeypatch):
     assert dot.count("[shape=") == sexp.count("(") + sexp.count("L") == 200_001
 
 
-def test_closed_pipe_is_a_quiet_exit():
-    # `enumerate ... | head -1`: the reader leaves after one line.
+@pytest.mark.parametrize("n, cap", [(12, None), (10000, 10000)], ids=["default-cap", "deep"])
+def test_closed_pipe_is_a_quiet_exit(n, cap):
+    # `enumerate ... | head -1`: the reader leaves after one line, which at
+    # n = 10000 is a tree 10000 levels deep.
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["enumerate", "--family", "binary", "--n", str(n)]
+    if cap is not None:
+        argv += ["--max-n", str(cap)]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "fussforest", "enumerate", "--family", "binary", "--n", "12"],
+        [sys.executable, "-m", "fussforest", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
         first = proc.stdout.readline()
@@ -237,7 +246,7 @@ def test_closed_pipe_is_a_quiet_exit():
     with proc.stderr:
         err = proc.stderr.read()
     assert code == EXIT_OK
-    assert first == b"(L (L (L (L (L (L (L (L (L (L (L (L L))))))))))))\n"
+    assert first == ("(L " * n + "L" + ")" * n + "\n").encode("ascii")  # the right comb
     assert err == b""
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import oracle_generators
 import oracle_paths
-from conftest import binary_trees, colored_ternary_trees
+from conftest import binary_trees, colored_ternary_trees, deep_binary_words
+from fussforest.bijection import decode, encode
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
 from fussforest.trees import (
     BINARY,
@@ -20,6 +21,7 @@ from fussforest.trees import (
     SizeCapError,
     binary_from_word,
     binary_word,
+    binary_word_text,
     color_sum,
     enumerate_binary,
     enumerate_binary_words,
@@ -41,6 +43,7 @@ from fussforest.trees import (
     serialize_forest,
     ternary_from_preorder,
     ternary_preorder,
+    ternary_preorder_text,
     ternary_weight,
     to_dot,
     validate,
@@ -174,6 +177,28 @@ def test_forest_order_matches_the_recursive_oracle():
                     tuple(map(form, forest)) for forest in expected]
 
 
+def test_binary_words_run_from_the_right_comb_to_the_left_comb():
+    words = list(enumerate_binary_words(12))
+    assert words[0] == "10" * 12 + "0"
+    assert words[-1] == "1" * 12 + "0" * 13
+
+
+def test_deep_binary_words_step_without_recursion():
+    # Each word steps from the one before in one frame, so trees 10^4 levels
+    # deep come out; the last vertex that can step is near the bottom.
+    n = 10_000
+    words = enumerate_binary_words(n, max_n=n)
+    assert [next(words) for _ in range(3)] == [
+        "10" * n + "0", "10" * (n - 2) + "11000", "10" * (n - 3) + "1100100"]
+
+
+def test_colored_forest_forms_share_no_lists():
+    forests = enumerate_forest_forms(COLORED_TERNARY, 4, 3)
+    for component in next(forests):
+        component[0] = 7
+    assert list(forests) == list(enumerate_forest_forms(COLORED_TERNARY, 4, 3))[1:]
+
+
 def test_weak_compositions_match_the_recursive_oracle():
     for total in range(9):
         for parts in range(8):
@@ -233,7 +258,6 @@ def test_enumeration_cap():
     # explicit acknowledgment lifts the cap
     over = DEFAULT_MAX_N + 3
     assert list(enumerate_colored_ternary(over, 0, max_n=over)) == [leaf(over)]
-    # The generators nest one frame per tree level, so a lifted cap reaches deep first trees.
     assert next(enumerate_binary_words(500, max_n=500)) == "10" * 500 + "0"
 
 
@@ -374,6 +398,21 @@ def test_deep_trees_check_and_compare_without_recursion():
     assert (report.ok, report.path) == (False, (1,) + (1,) * depth)
     assert broken_binary == BinaryTree(LEAF, broken_binary.right)
     assert hash(broken_ternary) == hash(node(1, leaf(0), leaf(2), broken_ternary.children[2]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(deep_binary_words)
+def test_form_routines_on_deep_words(word):
+    assert parse_binary_word(binary_word_text(word)) == word
+    tree = binary_from_word(word)
+    assert binary_word(tree) == word and validate(tree, BINARY).ok
+    copy = binary_from_word(word)
+    assert tree == copy and hash(tree) == hash(copy)
+    preorder = decode(word)
+    assert encode(preorder) == word
+    assert parse_ternary_preorder(ternary_preorder_text(preorder)) == preorder
+    assert form_dot(word).count("[shape=") == len(word)
+    assert form_dot(preorder).count("[shape=") == len(preorder)
 
 
 # Parser fuzz.  Texts are raw bytes, or canonical texts cut short or with a
