@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
-family mismatch, 6 out of resources (Python's recursion limit or memory).
+family mismatch, 6 out of resources (Python's recursion limit or memory, or
+a verify worker that died without sending its results).
 Stdout is deterministic for identical invocations; counts and timing go to
-stderr.  When the reader of stdout goes away early (as in
-``fussforest enumerate ... | head -1``), the command stops quietly with
-exit 0: what was written is all the reader asked for.
+stderr.  ``verify`` runs its checks in forked workers, one per usable CPU,
+and its output is the same for any number of them.  When the reader of
+stdout goes away early (as in ``fussforest enumerate ... | head -1``), the
+command stops quietly with exit 0: what was written is all the reader asked
+for.
 
 ``map`` reads every line before it writes anything, so a line that does not
 parse, or parses as the other family, leaves no output.
@@ -202,7 +205,7 @@ def main(argv=None) -> int:
     except FamilyMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAMILY
-    except (RecursionError, MemoryError) as err:
+    except (RecursionError, MemoryError, verify.WorkerError) as err:
         print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

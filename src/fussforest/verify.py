@@ -3,15 +3,22 @@
 Each check compares a closed form, a generator, a bijection image, or a
 series coefficient against its counterpart over a swept parameter box and
 reports per-case failures.  Default bounds are the acceptance bounds, so
-running the `all` suite is the full acceptance sweep.  Reports render
-deterministically: timing never goes into the text or JSON output.
+running the `all` suite is the full acceptance sweep.
+
+The checks share nothing, so `run_suite` runs them in forked workers, one
+per usable CPU, and puts their results back in report order.  Reports
+render deterministically, the same for any number of workers: each check's
+wall time is kept on its result, but timing never goes into the text or
+JSON output.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import bijection, series, trees
 from .exact import (Identity, Side, binomial, by_parts_terms, colored_ternary_count,
@@ -31,11 +38,18 @@ class CheckResult:
     bounds: dict
     cases: int = 0
     failures: list[CaseFailure] = field(default_factory=list)
+    # Wall time of the check, taken in the process that ran it; never rendered.
+    seconds: float = field(default=0.0, compare=False)
 
-    def case(self, params: dict, expected, *actual) -> None:
-        """One case that passes iff every actual value equals the expected one."""
+    def case(self, params, expected, *actual) -> None:
+        """One case that passes iff every actual value equals the expected one.
+
+        `params` is a dict, or a function returning one, called only when
+        the case fails, for labels that cost something to render."""
         self.cases += 1
         if any(value != expected for value in actual):
+            if callable(params):
+                params = params()
             self.failures.append(
                 CaseFailure(dict(params), _text(expected), " / ".join(map(_text, actual))))
 
@@ -120,20 +134,18 @@ _IDENTITY_CHECKS = (
 )
 
 
-def _check_identities(n_max: int, m_max: int) -> list[CheckResult]:
-    """Each identity's RHS against its LHS (and its witness) for every n, and m if swept."""
-    results = []
-    for name, identity, sweeps_m, witness in _IDENTITY_CHECKS:
-        bounds = {"n_max": n_max, "m_max": m_max} if sweeps_m else {"n_max": n_max}
-        result = CheckResult(name, bounds)
-        for n in range(n_max + 1):
-            for m in range(1, m_max + 1) if sweeps_m else (1,):
-                params = {"n": n, "m": m} if sweeps_m else {"n": n}
-                lhs = identity_side(identity, Side.LHS, n, m)
-                rhs = identity_side(identity, Side.RHS, n, m)
-                result.case(params, *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
-        results.append(result)
-    return results
+def _check_identity(name: str, identity: Identity, sweeps_m: bool, witness,
+                    n_max: int, m_max: int) -> CheckResult:
+    """One identity's RHS against its LHS (and its witness) for every n, and m if swept."""
+    bounds = {"n_max": n_max, "m_max": m_max} if sweeps_m else {"n_max": n_max}
+    result = CheckResult(name, bounds)
+    for n in range(n_max + 1):
+        for m in range(1, m_max + 1) if sweeps_m else (1,):
+            params = {"n": n, "m": m} if sweeps_m else {"n": n}
+            lhs = identity_side(identity, Side.LHS, n, m)
+            rhs = identity_side(identity, Side.RHS, n, m)
+            result.case(params, *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
+    return result
 
 
 def _check_forest_single_component(n_max: int) -> CheckResult:
@@ -154,10 +166,11 @@ def _check_colored_count_sum(n_max: int) -> CheckResult:
     return result
 
 
-def _identities_suite(n_max: int, m_max: int) -> list[CheckResult]:
-    return _check_identities(n_max, m_max) + [
-        _check_forest_single_component(n_max),
-        _check_colored_count_sum(n_max),
+def _identities_suite(n_max: int, m_max: int) -> list:
+    return [
+        *(partial(_check_identity, *row, n_max, m_max) for row in _IDENTITY_CHECKS),
+        partial(_check_forest_single_component, n_max),
+        partial(_check_colored_count_sum, n_max),
     ]
 
 
@@ -177,7 +190,7 @@ def _check_tree_bijection(n_max: int) -> CheckResult:
             b = bijection.phi(t)
             word = trees.binary_word(b)
             result.case(
-                {"n": n, "tree": trees.ternary_preorder_text(form)},
+                lambda: {"n": n, "tree": trees.ternary_preorder_text(form)},
                 True,
                 word.count("1") == n,
                 word in binary_words,
@@ -188,7 +201,7 @@ def _check_tree_bijection(n_max: int) -> CheckResult:
         for b in trees.enumerate_binary(n, max_n=n_max):
             t = bijection.phi_inverse(b)
             result.case(
-                {"n": n, "tree": trees.serialize(b)},
+                lambda: {"n": n, "tree": trees.serialize(b)},
                 True,
                 tuple(trees.ternary_preorder(t)) in domain,
                 bijection.phi(t) == b,
@@ -210,7 +223,7 @@ def _check_forest_bijection(n_max: int, m_max: int) -> CheckResult:
             images = []
             for forest in colored:
                 image = tuple(map(bijection.encode, forest))
-                result.case({"n": n, "m": m, "forest": _text(forest)},
+                result.case(lambda: {"n": n, "m": m, "forest": _text(forest)},
                             forest, tuple(map(bijection.decode, image)))
                 images.append(image)
             binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m, max_n=n_max))
@@ -223,10 +236,10 @@ def _check_forest_bijection(n_max: int, m_max: int) -> CheckResult:
     return result
 
 
-def _bijection_suite(n_max: int, m_max: int) -> list[CheckResult]:
+def _bijection_suite(n_max: int, m_max: int) -> list:
     return [
-        _check_tree_bijection(n_max),
-        _check_forest_bijection(min(6, n_max), m_max),
+        partial(_check_tree_bijection, n_max),
+        partial(_check_forest_bijection, min(6, n_max), m_max),
     ]
 
 
@@ -292,14 +305,14 @@ def _check_forest_expansion(order: int, m_max: int) -> CheckResult:
     return result
 
 
-def _series_suite(order: int, m_max: int) -> list[CheckResult]:
+def _series_suite(order: int, m_max: int) -> list:
     return [
-        _check_series_vs_counts(order),
-        _check_colored_ternary_series(order),
-        _check_substitution_equations(min(order, 32)),
-        _check_lagrange_powers(min(order, 32), m_max),
-        _check_quinary_three_way(min(order, 40), m_max),
-        _check_forest_expansion(min(order, 32), min(m_max, 4)),
+        partial(_check_series_vs_counts, order),
+        partial(_check_colored_ternary_series, order),
+        partial(_check_substitution_equations, min(order, 32)),
+        partial(_check_lagrange_powers, min(order, 32), m_max),
+        partial(_check_quinary_three_way, min(order, 40), m_max),
+        partial(_check_forest_expansion, min(order, 32), min(m_max, 4)),
     ]
 
 
@@ -353,19 +366,127 @@ def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
     return result
 
 
-def _counts_suite(n_max: int, m_max: int) -> list[CheckResult]:
+def _counts_suite(n_max: int, m_max: int) -> list:
     return [
-        _check_binary_generator(n_max),
-        _check_colored_generator(n_max),
-        _check_forest_generators(min(8, n_max), m_max),
+        partial(_check_binary_generator, n_max),
+        partial(_check_colored_generator, n_max),
+        partial(_check_forest_generators, min(8, n_max), m_max),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Running the checks
+# ---------------------------------------------------------------------------
+
+class WorkerError(RuntimeError):
+    """A worker could not be started, or ended without sending its results."""
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _run_share(units: list) -> tuple[list[CheckResult], Exception | None]:
+    """Run units in order until one raises: their results, timed, and that exception."""
+    results = []
+    try:
+        for unit in units:
+            started = time.perf_counter()
+            result = unit()
+            result.seconds = time.perf_counter() - started
+            results.append(result)
+    except Exception as err:
+        return results, err
+    return results, None
+
+
+def _fork(units: list) -> tuple[int, int]:
+    """Start a worker that runs the units and pickles what `_run_share` gives
+    back into a pipe; return its pid and the pipe's read end."""
+    import pickle
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as err:
+        os.close(read)
+        os.close(write)
+        raise WorkerError(f"cannot start a verify worker: {err}") from None
+    if pid == 0:
+        try:
+            os.close(read)
+            results, error = _run_share(units)
+            try:
+                data = pickle.dumps((results, error))
+                pickle.loads(data)  # some exceptions pickle but do not load
+            except Exception:
+                data = pickle.dumps((results, WorkerError(f"{type(error).__name__}: {error}")))
+            with open(write, "wb") as stream:
+                stream.write(data)
+        finally:
+            os._exit(0)  # never back into the caller's stack, its buffers or its atexit hooks
+    os.close(write)
+    return pid, read
+
+
+def _receive(pid: int, read: int) -> tuple[list[CheckResult], Exception | None]:
+    """Drain a worker's pipe, reap the worker, and return what it sent."""
+    import pickle
+
+    with open(read, "rb") as stream:
+        data = stream.read()
+    status = os.waitpid(pid, 0)[1]
+    try:
+        return pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+        return [], WorkerError(f"verify worker {pid} {how} before it sent its results")
+
+
+def _run_units(units: list) -> list[CheckResult]:
+    """Run zero-argument units that each return a CheckResult; results in unit order.
+
+    With W = min(units, usable CPUs), W - 1 forked workers and this process
+    share the units: process w runs units w, w + W, ..., so W = 1 is the
+    same loop with no fork.  W is 1 without os.fork, and while other threads
+    run, since a fork copies the locks they may hold.  The exception of the
+    lowest-numbered failing unit is raised here with its own type.
+    """
+    import threading
+
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(len(units), _usable_cpus()))
+    children = []
+    try:
+        for w in range(1, workers):
+            children.append(_fork(units[w::workers]))
+        mine = _run_share(units[::workers])
+    finally:
+        # On every way out, so that no pipe stays open and no worker unreaped.
+        received = [_receive(pid, read) for pid, read in children]
+    ordered = [None] * len(units)
+    failed = []
+    for w, (results, error) in enumerate([mine, *received]):
+        for i, result in enumerate(results):
+            ordered[w + i * workers] = result
+        if error is not None:
+            failed.append((w + len(results) * workers, error))
+    if failed:
+        raise min(failed, key=lambda pair: pair[0])[1]
+    return ordered
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-# Each suite's checks and acceptance bounds, in the order `all` runs them.
+# Each suite's checks, as units for `_run_units`, and its acceptance bounds,
+# in the order `all` reports them.
 _SUITES = {
     "identities": (_identities_suite, {"n_max": 60, "m_max": 8}),
     "bijection": (_bijection_suite, {"n_max": 8, "m_max": 4}),
@@ -382,9 +503,10 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     started = time.perf_counter()
     given = {"n_max": n_max, "m_max": m_max, "order": order}
-    checks: list[CheckResult] = []
+    units = []
     for name in _SUITES if suite == "all" else (suite,):
         build, defaults = _SUITES[name]
-        checks.extend(build(**{key: default if given[key] is None else given[key]
-                               for key, default in defaults.items()}))
-    return VerificationReport(suite, checks, elapsed_seconds=time.perf_counter() - started)
+        units += build(**{key: default if given[key] is None else given[key]
+                          for key, default in defaults.items()})
+    return VerificationReport(suite, _run_units(units),
+                              elapsed_seconds=time.perf_counter() - started)

@@ -2,8 +2,12 @@
 
 import ast
 import inspect
+import os
+import signal
 
-from fussforest import bijection, trees, verify
+import pytest
+
+from fussforest import bijection, cli, trees, verify
 from fussforest.exact import Side
 from fussforest.trees import LEAF, leaf
 from fussforest.verify import CheckResult
@@ -103,3 +107,157 @@ def test_termwise_check_fails_on_one_perturbed_term(monkeypatch):
     [failure] = failed["ternary_forest_m1_termwise"]
     assert failure.params == {"n": 7, "p": 2}
     assert int(failure.actual) == int(failure.expected) + 1
+
+
+def test_failing_bijection_cases_carry_canonical_tree_text(monkeypatch):
+    # Labels are rendered only for failing cases; they must read as before.
+    real = bijection.decode
+    monkeypatch.setattr(bijection, "decode", lambda word: [2] if word == "11000" else real(word))
+    report = verify.run_suite("bijection", n_max=2, m_max=2)
+    failures = {c.name: [(f.params, f.expected, f.actual) for f in c.failures]
+                for c in report.checks}
+    assert failures == {
+        "tree_bijection": [
+            ({"n": 2, "tree": "(0: 0 0 0)"}, "True", "True / True / False"),
+            ({"n": 2, "tree": "((L L) L)"}, "True", "True / False"),
+        ],
+        "forest_bijection": [
+            ({"n": 2, "m": 1, "forest": "(0: 0 0 0);"}, "(0: 0 0 0);", "2;"),
+            ({"n": 2, "m": 2, "forest": "0;(0: 0 0 0);"}, "0;(0: 0 0 0);", "0;2;"),
+            ({"n": 2, "m": 2, "forest": "(0: 0 0 0);0;"}, "(0: 0 0 0);0;", "2;0;"),
+        ],
+    }
+    assert report.to_text().splitlines()[1] == \
+        "  first failure: n=2 tree=(0: 0 0 0): expected True, got True / True / False"
+
+
+def test_check_seconds_are_recorded_but_never_rendered():
+    report = verify.run_suite("series", order=8, m_max=2)
+    assert all(c.seconds > 0 for c in report.checks)
+    text, payload = report.to_text(), report.to_json()
+    for seconds in (0.0, 1e9, float("nan")):
+        for check in report.checks:
+            check.seconds = seconds
+        assert (report.to_text(), report.to_json()) == (text, payload)
+
+
+# ---------------------------------------------------------------------------
+# Checks run in forked workers, one per usable CPU
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the process may use, as verify sees it."""
+    def usable(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return usable
+
+
+def _no_children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@needs_fork
+def test_all_reports_are_byte_identical_for_one_and_two_cpus(cpus):
+    reports = []
+    for count in (1, 2):
+        cpus(count)
+        report = verify.run_suite("all")
+        reports.append((report.to_text(), report.to_json()))
+    assert reports[0] == reports[1]
+    assert "(cases=12737, failures=0)" in reports[0][0]
+
+
+@needs_fork
+def test_units_run_in_one_process_per_cpu_and_workers_are_reaped(cpus, monkeypatch):
+    def where(*bounds):
+        return verify.CheckResult("pid", {"pid": os.getpid()})
+
+    for name in ("_check_binary_generator", "_check_colored_generator",
+                 "_check_forest_generators"):
+        monkeypatch.setattr(verify, name, where)
+    cpus(1)
+    assert [c.bounds["pid"] for c in verify.run_suite("counts").checks] == [os.getpid()] * 3
+    cpus(2)
+    pids = [c.bounds["pid"] for c in verify.run_suite("counts").checks]
+    assert pids[0] == pids[2] == os.getpid() != pids[1]
+    assert _no_children_left()
+
+
+def _fail_in_worker(monkeypatch, fault) -> None:
+    """Make the counts suite's second unit, which the worker runs at two CPUs, call fault."""
+    caller = os.getpid()
+
+    def unit(*bounds):
+        assert os.getpid() != caller, "the unit ran in the caller"
+        fault()
+
+    monkeypatch.setattr(verify, "_check_colored_generator", unit)
+
+
+@needs_fork
+def test_memory_error_in_a_worker_exits_6_with_one_line(cpus, monkeypatch, capsys):
+    def fault():
+        raise MemoryError("worker out of memory")
+
+    _fail_in_worker(monkeypatch, fault)
+    cpus(2)
+    code = cli.main(["verify", "--suite", "counts", "--n-max", "4", "--m-max", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err == "error: out of resources: MemoryError: worker out of memory\n"
+    assert _no_children_left()
+
+
+@needs_fork
+def test_worker_killed_by_a_signal_exits_6_without_a_traceback(cpus, monkeypatch, capsys):
+    _fail_in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    cpus(2)
+    code = cli.main(["verify", "--suite", "counts", "--n-max", "4", "--m-max", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: out of resources: WorkerError: verify worker ")
+    assert err.endswith(f" was killed by signal {int(signal.SIGKILL)} before it sent its results\n")
+    assert _no_children_left()
+
+
+@needs_fork
+def test_the_lowest_failing_unit_raises_with_its_own_type(cpus, monkeypatch):
+    # Unit 1 fails in the worker, unit 2 in the caller: unit 1's error wins.
+    def worker_fault():
+        raise trees.SizeCapError("unit 1")
+
+    def caller_fault(*bounds):
+        raise MemoryError("unit 2")
+
+    _fail_in_worker(monkeypatch, worker_fault)
+    monkeypatch.setattr(verify, "_check_forest_generators", caller_fault)
+    cpus(2)
+    with pytest.raises(trees.SizeCapError, match="^unit 1$") as raised:
+        verify.run_suite("counts", n_max=4, m_max=2)
+    assert type(raised.value) is trees.SizeCapError
+    assert _no_children_left()
+
+
+@needs_fork
+def test_an_error_that_cannot_be_sent_arrives_as_its_text(cpus, monkeypatch):
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def fault():
+        raise Local("not picklable")
+
+    _fail_in_worker(monkeypatch, fault)
+    cpus(2)
+    with pytest.raises(verify.WorkerError, match="^Local: not picklable$"):
+        verify.run_suite("counts", n_max=4, m_max=2)
+    assert _no_children_left()
