@@ -460,7 +460,7 @@ def _run_units(units: list) -> list[CheckResult]:
 
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = max(1, min(len(units), _usable_cpus()))
+        workers = min(len(units), _usable_cpus())
     children = []
     try:
         for w in range(1, workers):
