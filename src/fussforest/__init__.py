@@ -71,12 +71,10 @@ from .bijection import (
 )
 from .series import (
     TruncatedSeries,
-    colored_ternary_series,
     colored_tree_series,
     forest_expansion_series,
     fuss_catalan_power_coefficients,
     fuss_catalan_series,
     geometric_series_power,
-    verify_quinary_forest_series,
 )
 from .verify import VerificationReport, run_suite

@@ -3,7 +3,8 @@
 Everything is computed mod x^(order+1) with plain int coefficients; the
 counting series used here all have integer coefficients, and 1/(1-x)^j is
 built directly from binomials, so no rational arithmetic is ever needed.
-Functional equations are checked in denominator-cleared polynomial form.
+This module only computes; every comparison of a series with its
+functional equation or with a closed form lives in `verify`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .exact import _exact_div, binomial, forest_catalan, identity_side, Identity, Side
+# identity_side goes unused here; perfbench/spans.py wraps it under this name.
+from .exact import _exact_div, binomial, forest_catalan, identity_side  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,17 +103,6 @@ class TruncatedSeries:
             raise ValueError("shift needs k >= 0")
         return TruncatedSeries(((0,) * k + self.coeffs)[:self.order + 1])
 
-    def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """Substitute `inner` (constant term must be 0) into this series, by Horner."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        inner = TruncatedSeries(inner.coeffs[:n + 1])
-        result = TruncatedSeries.constant(self.coeffs[n], n)
-        for a in reversed(self.coeffs[:n]):
-            result = result * inner + a
-        return result
-
 
 def geometric_series_power(j: int, order: int) -> TruncatedSeries:
     """1/(1-x)^j truncated: coefficient of x^i is binom(i+j-1, j-1)."""
@@ -151,9 +142,6 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     inner series is a shift by k-1 followed by k running sums (each one a
     factor 1/(1-x)), and one more running sum applies the final 1/(1-x).  That
     is O(k * order^2) additions, with no multiplications and no binomials.
-    Before returning, the defining functional equation is re-checked in
-    cleared form F - x^(k-1)*F^k = 1 + x*F; a failure means the substitution
-    was built wrong.
     """
     if k < 2:
         raise ValueError(f"colored_tree_series requires k >= 2, got {k}")
@@ -167,27 +155,7 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
         for _ in range(k):
             acc = list(accumulate(acc))
         acc[0] += a
-    f = TruncatedSeries(tuple(accumulate(acc)))
-    if order >= 1:
-        x = TruncatedSeries.x(order)
-        lhs = f - f ** k * x ** (k - 1)
-        rhs = x * f + 1
-        if lhs != rhs:
-            raise AssertionError(f"colored tree series violates its functional equation at k={k}")
-    return f
-
-
-def colored_ternary_series(order: int) -> TruncatedSeries:
-    """The k=3 colored tree series; the bijection makes it the Catalan series.
-
-    colored_tree_series has already checked its cleared equation, which at
-    k=3 is (1-x)*G = 1 + x^2*G^3; this checks coefficientwise agreement with
-    the k=2 solution of s = 1 + x*s^2 before returning.
-    """
-    g = colored_tree_series(3, order)
-    if g != fuss_catalan_series(2, order):
-        raise AssertionError("colored ternary series does not match the binary tree series")
-    return g
+    return TruncatedSeries(tuple(accumulate(acc)))
 
 
 def fuss_catalan_power_coefficients(k: int, m: int, order: int) -> list[int]:
@@ -202,47 +170,12 @@ def fuss_catalan_power_coefficients(k: int, m: int, order: int) -> list[int]:
     return list((fuss_catalan_series(k, order) ** m).coeffs)
 
 
-@dataclass(frozen=True)
-class ThreeWayMismatch:
-    n: int
-    m: int
-    series: int
-    lhs: int
-    rhs: int
-
-
-def verify_quinary_forest_series(n_max: int, m_max: int,
-                                 order: int | None = None) -> list[ThreeWayMismatch]:
-    """Three-way check of the quinary forest identity against the series engine.
-
-    For every n <= n_max and 1 <= m <= m_max, compares [x^n] of the m-th
-    power of the k=5 colored tree series with both closed-form sides of
-    Identity.QUINARY_FOREST.  Returns the mismatches (empty means verified).
-    """
-    if order is None:
-        order = n_max
-    if order < n_max:
-        raise ValueError(f"order {order} is too small for n_max {n_max}")
-    f = colored_tree_series(5, order)
-    mismatches = []
-    power = TruncatedSeries.constant(1, order)
-    for m in range(1, m_max + 1):
-        power = power * f
-        for n in range(n_max + 1):
-            from_series = power[n]
-            lhs = identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
-            rhs = identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
-            if not (from_series == lhs == rhs):
-                mismatches.append(ThreeWayMismatch(n, m, from_series, lhs, rhs))
-    return mismatches
-
-
 def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
     """Sum over p of forest_catalan(p,3,m) * x^(2p) / (1-x)^(3p+m).
 
     Expanding the m-th power of the colored ternary series this way is what
     turns the forest counts into the ternary-forest identity; the result must
-    equal colored_ternary_series(order) ** m.
+    equal colored_tree_series(3, order) ** m.
     """
     if m < 1:
         raise ValueError(f"forest_expansion_series requires m >= 1, got {m}")

@@ -167,9 +167,12 @@ def _enumeration_cap(max_n: int | None) -> int:
     env = os.environ.get(MAX_N_ENV)
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}") from None
+        if cap < 0:
+            raise ValueError(f"{MAX_N_ENV} must be >= 0, got {cap}")
+        return cap
     return DEFAULT_MAX_N
 
 

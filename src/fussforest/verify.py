@@ -258,7 +258,7 @@ def _check_series_vs_counts(order: int) -> CheckResult:
 
 def _check_colored_ternary_series(order: int) -> CheckResult:
     result = CheckResult("colored_ternary_equals_catalan", {"order": order})
-    g = series.colored_ternary_series(order)
+    g = series.colored_tree_series(3, order)
     catalan = series.fuss_catalan_series(2, order)
     for i in range(order + 1):
         result.case({"i": i}, catalan[i], g[i])
@@ -285,19 +285,23 @@ def _check_lagrange_powers(order: int, m_max: int) -> CheckResult:
 
 
 def _check_quinary_three_way(n_max: int, m_max: int) -> CheckResult:
+    # [x^n] of the m-th power of the k=5 colored tree series, witnessed by
+    # both closed-form sides of the quinary forest identity.
     result = CheckResult("quinary_forest_three_way", {"n_max": n_max, "m_max": m_max})
-    mismatches = series.verify_quinary_forest_series(n_max, m_max)
-    result.cases = (n_max + 1) * m_max
-    for miss in mismatches:
-        result.failures.append(CaseFailure(
-            {"n": miss.n, "m": miss.m},
-            str(miss.lhs), f"series={miss.series} rhs={miss.rhs}"))
+    f = series.colored_tree_series(5, n_max)
+    power = series.TruncatedSeries.constant(1, n_max)
+    for m in range(1, m_max + 1):
+        power = power * f
+        for n in range(n_max + 1):
+            lhs = identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
+            rhs = identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
+            result.case({"n": n, "m": m}, lhs, power[n], rhs)
     return result
 
 
 def _check_forest_expansion(order: int, m_max: int) -> CheckResult:
     result = CheckResult("forest_expansion_route", {"order": order, "m_max": m_max})
-    g = series.colored_ternary_series(order)
+    g = series.colored_tree_series(3, order)
     power = series.TruncatedSeries.constant(1, order)
     for m in range(1, m_max + 1):
         power = power * g
@@ -495,10 +499,17 @@ _SUITES = {
 }
 SUITES = (*_SUITES, "all")
 
+# The least value of each bound at which a suite still checks something.
+_LEAST_BOUNDS = {"n_max": 0, "m_max": 1, "order": 0}
+
 
 def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
               order: int | None = None) -> VerificationReport:
-    """Run one suite (or `all`) and return its report; bounds default to acceptance bounds."""
+    """Run one suite (or `all`) and return its report; bounds default to acceptance bounds.
+
+    A bound that a chosen suite reads and that is below its least value in
+    `_LEAST_BOUNDS` raises ValueError before any check runs.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     started = time.perf_counter()
@@ -506,7 +517,11 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
     units = []
     for name in _SUITES if suite == "all" else (suite,):
         build, defaults = _SUITES[name]
-        units += build(**{key: default if given[key] is None else given[key]
-                          for key, default in defaults.items()})
+        bounds = {key: default if given[key] is None else given[key]
+                  for key, default in defaults.items()}
+        for key, value in bounds.items():
+            if value < _LEAST_BOUNDS[key]:
+                raise ValueError(f"suite {name} needs {key} >= {_LEAST_BOUNDS[key]}, got {value}")
+        units += build(**bounds)
     return VerificationReport(suite, _run_units(units),
                               elapsed_seconds=time.perf_counter() - started)

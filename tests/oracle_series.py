@@ -14,6 +14,18 @@ from math import comb
 from fussforest.series import TruncatedSeries
 
 
+def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """Substitute `inner` (constant term must be 0) into `outer`, by Horner."""
+    if inner.coeffs[0] != 0:
+        raise ValueError("composition needs an inner series with zero constant term")
+    n = min(outer.order, inner.order)
+    inner = TruncatedSeries(inner.coeffs[:n + 1])
+    result = TruncatedSeries.constant(outer.coeffs[n], n)
+    for a in reversed(outer.coeffs[:n]):
+        result = result * inner + a
+    return result
+
+
 def fuss_catalan_series(k: int, order: int) -> TruncatedSeries:
     """Fixed-point iteration from s = 1; each pass freezes one more coefficient."""
     if order == 0:
@@ -29,4 +41,4 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     """C_k(x^(k-1)/(1-x)^k) / (1-x), by compose and products with binomial series."""
     inner = TruncatedSeries(tuple(comb(i, k - 1) for i in range(order + 1)))
     geometric = TruncatedSeries((1,) * (order + 1))
-    return geometric * fuss_catalan_series(k, order).compose(inner)
+    return geometric * compose(fuss_catalan_series(k, order), inner)

@@ -21,10 +21,9 @@ from fussforest.exact import (
     k_catalan,
 )
 from fussforest.series import (
-    colored_ternary_series,
+    colored_tree_series,
     fuss_catalan_power_coefficients,
     fuss_catalan_series,
-    verify_quinary_forest_series,
 )
 from fussforest.trees import (
     BINARY,
@@ -34,6 +33,7 @@ from fussforest.trees import (
     enumerate_forests,
     serialize,
 )
+from fussforest.verify import _check_quinary_three_way
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,7 +75,7 @@ def test_criterion_03_quinary_forest_identity_three_way():
         if identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
         != identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
     ]
-    failures += verify_quinary_forest_series(40, 6)
+    failures += _check_quinary_three_way(40, 6).failures
     report(3, "quinary forest identity + series three-way", failures, started)
 
 
@@ -142,7 +142,7 @@ def test_criterion_06_forest_bijection():
 
 def test_criterion_07_substitution_series_is_catalan():
     started = time.perf_counter()
-    g = colored_ternary_series(64)
+    g = colored_tree_series(3, 64)
     catalan = fuss_catalan_series(2, 64)
     failures = [i for i in range(65) if g[i] != catalan[i]]
     if g.coeffs[:5] != (1, 1, 2, 5, 14):

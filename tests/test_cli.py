@@ -325,6 +325,27 @@ def test_verify_rejects_unknown_suite(capsys):
     assert run(capsys, "verify", "--suite", "everything")[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("suite, bounds, message", [
+    ("identities", ["--n-max", "-1"], "suite identities needs n_max >= 0, got -1"),
+    ("all", ["--n-max", "-3", "--m-max", "-2"], "suite identities needs n_max >= 0, got -3"),
+    ("bijection", ["--m-max", "0"], "suite bijection needs m_max >= 1, got 0"),
+    ("series", ["--order", "-1"], "suite series needs order >= 0, got -1"),
+    ("series", ["--m-max", "0"], "suite series needs m_max >= 1, got 0"),
+    ("counts", ["--n-max", "-1"], "suite counts needs n_max >= 0, got -1"),
+    ("all", ["--order", "-1"], "suite series needs order >= 0, got -1"),
+])
+def test_verify_bounds_that_check_nothing_are_usage_errors(capsys, suite, bounds, message):
+    code, out, err = run(capsys, "verify", "--suite", suite, *bounds)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_verify_ignores_bounds_its_suite_does_not_read(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "2",
+                       "--m-max", "1", "--order", "-1")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].startswith("suite identities: PASS")
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force one check to disagree so the failure path is observable end to end
     from fussforest import verify as verify_mod

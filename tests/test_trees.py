@@ -270,6 +270,13 @@ def test_enumeration_cap_env_override(monkeypatch):
     monkeypatch.setenv(MAX_N_ENV, "not-a-number")
     with pytest.raises(ValueError):
         enumerate_binary(3)
+    # a negative cap is a bad setting, as it is a bad max_n, not a cap every n exceeds
+    monkeypatch.setenv(MAX_N_ENV, "-1")
+    with pytest.raises(ValueError, match=MAX_N_ENV) as err:
+        enumerate_binary(0)
+    assert not isinstance(err.value, SizeCapError)
+    monkeypatch.setenv(MAX_N_ENV, "0")
+    assert enumerate_binary(0) is not None
 
 
 # ---------------------------------------------------------------------------

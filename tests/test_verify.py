@@ -3,12 +3,13 @@
 import ast
 import inspect
 import os
+import re
 import signal
 
 import pytest
 
-from fussforest import bijection, cli, trees, verify
-from fussforest.exact import Side
+from fussforest import bijection, cli, series, trees, verify
+from fussforest.exact import Identity, Side
 from fussforest.trees import LEAF, leaf
 from fussforest.verify import CheckResult
 
@@ -129,6 +130,51 @@ def test_failing_bijection_cases_carry_canonical_tree_text(monkeypatch):
     }
     assert report.to_text().splitlines()[1] == \
         "  first failure: n=2 tree=(0: 0 0 0): expected True, got True / True / False"
+
+
+def test_a_corrupt_series_kernel_is_reported_not_raised(monkeypatch, capsys):
+    # One running sum off by one in the substitution kernel: the series
+    # suite must say which claims fail, not stop with an exception.
+    real = series.accumulate
+
+    def corrupt(values):
+        sums = list(real(values))
+        if len(sums) > 3:
+            sums[3] += 1
+        return sums
+
+    monkeypatch.setattr(series, "accumulate", corrupt)
+    code = cli.main(["verify", "--suite", "series"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_VERIFY_FAILED
+    for name in ("substitution_functional_equations", "colored_ternary_equals_catalan"):
+        assert re.search(rf"^check {name} \[[^]]*\]: cases=\d+ \d+ FAILED$", out, re.M), name
+    assert out.splitlines()[-1].startswith("suite series: FAIL (")
+
+
+def test_quinary_three_way_report():
+    for n_max, m_max in ((20, 3), (4, 1)):
+        result = verify._check_quinary_three_way(n_max, m_max)
+        assert (result.cases, result.failures) == ((n_max + 1) * m_max, [])
+
+
+def test_quinary_three_way_failure_shows_series_and_rhs_against_lhs(monkeypatch):
+    # The right side is one too large at n=9, m=2 only; the failure shows
+    # the series coefficient and the right side against the left side.
+    real = verify.identity_side
+
+    def perturbed(identity, side, n, m=1):
+        value = real(identity, side, n, m)
+        return value + (identity is Identity.QUINARY_FOREST and side is Side.RHS
+                        and (n, m) == (9, 2))
+
+    monkeypatch.setattr(verify, "identity_side", perturbed)
+    report = verify.run_suite("series", order=12, m_max=2)
+    assert [c.name for c in report.checks if c.failures] == ["quinary_forest_three_way"]
+    lhs = real(Identity.QUINARY_FOREST, Side.LHS, 9, 2)
+    lines = report.to_text().splitlines()
+    at = lines.index("check quinary_forest_three_way [n_max=12 m_max=2]: cases=26 1 FAILED")
+    assert lines[at + 1] == f"  first failure: n=9 m=2: expected {lhs}, got {lhs} / {lhs + 1}"
 
 
 def test_check_seconds_are_recorded_but_never_rendered():
