@@ -50,6 +50,7 @@ from .trees import (
     parse_binary,
     parse_binary_word,
     parse_forest,
+    parse_forest_forms,
     parse_ternary,
     parse_ternary_preorder,
     serialize,

@@ -11,8 +11,10 @@ stdout goes away early (as in ``fussforest enumerate ... | head -1``), the
 command stops quietly with exit 0: what was written is all the reader asked
 for.
 
-``map`` reads every line before it writes anything, so a line that does not
-parse, or parses as the other family, leaves no output.
+``map`` reads its input as ASCII bytes, the same from a file and from stdin:
+a parse error's offset counts bytes, and a byte that is not ASCII is a parse
+error.  It reads every line before it writes anything, so a line that does
+not parse, or parses as the other family, leaves no output.
 """
 
 from __future__ import annotations
@@ -101,12 +103,6 @@ def cmd_number(args) -> int:
     return EXIT_OK
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
-
-
 def _write(stream, forms, family: str, fmt: str) -> int:
     """Write preorder forms of one family in the given format; return how many."""
     text = trees.binary_word_text if family == BINARY else trees.ternary_preorder_text
@@ -121,6 +117,16 @@ def _write(stream, forms, family: str, fmt: str) -> int:
     return count
 
 
+def _emit(args, forms, family: str, verb: str) -> None:
+    """Write forms to --out (or stdout) in --format; report the count on stderr."""
+    if args.out == "-":
+        count = _write(sys.stdout, forms, family, args.format)
+    else:
+        with open(args.out, "w", encoding="ascii") as stream:
+            count = _write(stream, forms, family, args.format)
+    print(f"{verb} {count} tree(s)", file=sys.stderr)
+
+
 def cmd_enumerate(args) -> int:
     if args.p is not None and args.family != COLORED_TERNARY:
         raise ValueError("--p only applies to the colored-ternary family")
@@ -128,56 +134,36 @@ def cmd_enumerate(args) -> int:
         forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
     else:
         forms = trees.enumerate_binary_words(args.n, max_n=args.max_n)
-    stream, close = _open_out(args.out)
-    try:
-        count = _write(stream, forms, args.family, args.format)
-        print(f"enumerated {count} tree(s)", file=sys.stderr)
-    finally:
-        if close:
-            stream.close()
+    _emit(args, forms, args.family, "enumerated")
     return EXIT_OK
 
 
-def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as stream:
-            text = stream.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def cmd_map(args) -> int:
-    t2b = args.direction == "t2b"
-    parse_source, parse_target = (
-        (trees.parse_ternary_preorder, trees.parse_binary_word) if t2b
-        else (trees.parse_binary_word, trees.parse_ternary_preorder)
+    source, target, apply_map = (
+        (COLORED_TERNARY, BINARY, encode) if args.direction == "t2b"
+        else (BINARY, COLORED_TERNARY, decode)
     )
-    lines = _read_lines(args.in_path)
-    parsed = []
-    offset = 0
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            parsed.append(parse_source(line))
-        except ParseError as err:
-            try:
-                parse_target(line)
-            except ParseError:
-                raise ParseError(offset + err.offset, err.expected, err.found) from None
-            raise FamilyMismatchError(
-                f"line {line_no} parses as the opposite family; check --direction") from None
-        offset += len(line) + 1
-    apply_map, target = (encode, BINARY) if t2b else (decode, COLORED_TERNARY)
-    stream, close = _open_out(args.out)
+    if args.in_path == "-":
+        text = sys.stdin.buffer.read()
+    else:
+        with open(args.in_path, "rb") as stream:
+            text = stream.read()
+    # One character per byte, the same from a file and from stdin: offsets
+    # count bytes, and a byte that is not ASCII becomes a character no tree
+    # text holds, so it is a parse error.
+    text = text.decode("ascii", "surrogateescape")
     try:
-        count = _write(stream, map(apply_map, parsed), target, args.format)
-        print(f"mapped {count} tree(s)", file=sys.stderr)
-    finally:
-        if close:
-            stream.close()
+        forms = trees.parse_forest_forms(text, source)
+    except ParseError as err:
+        line_no = text.count("\n", 0, err.offset)
+        parse_target = trees.parse_binary_word if target == BINARY else trees.parse_ternary_preorder
+        try:
+            parse_target(text.split("\n")[line_no])
+        except ParseError:
+            raise err from None
+        raise FamilyMismatchError(
+            f"line {line_no + 1} parses as the opposite family; check --direction") from None
+    _emit(args, map(apply_map, forms), target, "mapped")
     return EXIT_OK
 
 

@@ -626,23 +626,30 @@ def parse_ternary(text: str) -> ColoredTernaryTree:
     return ternary_from_preorder(parse_ternary_preorder(text))
 
 
-def parse_forest(text: str, family: str) -> tuple:
-    """Parse one tree per line; ParseError offsets are relative to the whole text."""
+def parse_forest_forms(text: str, family: str) -> list:
+    """Parse one tree per line to its preorder form; the final newline is
+    optional, and ParseError offsets are relative to the whole text."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    parse_one = parse_binary if family == BINARY else parse_ternary
-    trees = []
+    parse_one = parse_binary_word if family == BINARY else parse_ternary_preorder
+    forms = []
     offset = 0
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     for line in lines:
         try:
-            trees.append(parse_one(line))
+            forms.append(parse_one(line))
         except ParseError as err:
             raise ParseError(offset + err.offset, err.expected, err.found) from None
         offset += len(line) + 1
-    return tuple(trees)
+    return forms
+
+
+def parse_forest(text: str, family: str) -> tuple:
+    """Parse one tree per line; ParseError offsets are relative to the whole text."""
+    build = binary_from_word if family == BINARY else ternary_from_preorder
+    return tuple(map(build, parse_forest_forms(text, family)))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,12 @@ def _check_series_vs_counts(order: int) -> CheckResult:
     return result
 
 
+def _series_case(result: CheckResult, params: dict, a, b) -> None:
+    """One case comparing two series of one order at their first differing index i (0 if none)."""
+    i = next((i for i, (p, q) in enumerate(zip(a.coeffs, b.coeffs)) if p != q), 0)
+    result.case({**params, "i": i}, a[i], b[i])
+
+
 def _check_colored_ternary_series(order: int) -> CheckResult:
     result = CheckResult("colored_ternary_equals_catalan", {"order": order})
     g = series.colored_tree_series(3, order)
@@ -270,7 +276,7 @@ def _check_substitution_equations(order: int) -> CheckResult:
     x = series.TruncatedSeries.x(order)
     for k in (2, 3, 5):
         f = series.colored_tree_series(k, order)
-        result.case({"k": k}, x * f + 1, f - f ** k * x ** (k - 1))
+        _series_case(result, {"k": k}, x * f + 1, f - f ** k * x ** (k - 1))
     return result
 
 
@@ -305,7 +311,7 @@ def _check_forest_expansion(order: int, m_max: int) -> CheckResult:
     power = series.TruncatedSeries.constant(1, order)
     for m in range(1, m_max + 1):
         power = power * g
-        result.case({"m": m}, power, series.forest_expansion_series(m, order))
+        _series_case(result, {"m": m}, power, series.forest_expansion_series(m, order))
     return result
 
 
@@ -346,7 +352,7 @@ def _check_colored_generator(n_max: int) -> CheckResult:
             members = True
             for t in trees.enumerate_ternary_preorders(n, p, max_n=n_max):
                 count += 1
-                seen.add(trees.ternary_preorder_text(t))
+                seen.add(tuple(t))
                 if sum(c < 0 for c in t) != p or sum(c if c >= 0 else ~c for c in t) != n - 2 * p:
                     members = False
             result.case({"n": n, "p": p, "property": "count"},

@@ -186,6 +186,44 @@ def test_map_dot_and_json_formats(tmp_path, capsys):
     assert out == to_dot(parse_binary("(L (L L))"), 0) + to_dot(parse_binary("((L L) L)"), 1)
 
 
+def _stdin(data: bytes):
+    """A stand-in for sys.stdin whose .buffer yields `data`."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"(L L)\n(L \xc3\xa9)\n", 9),  # UTF-8 e-acute
+    (b"(L L)\n\xff\n", 6),
+], ids=["utf8", "xff"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_map_non_ascii_byte_is_a_parse_error_from_file_and_stdin(
+        tmp_path, capsys, monkeypatch, source, data, offset):
+    # Input is read as bytes, one character each, wherever it comes from.
+    if source == "file":
+        src = tmp_path / "in.txt"
+        src.write_bytes(data)
+        argv = ["--in", str(src)]
+    else:
+        monkeypatch.setattr("sys.stdin", _stdin(data))
+        argv = []
+    code, out, err = run(capsys, "map", "--direction", "b2t", *argv)
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"error: offset {offset}: ")
+
+
+@pytest.mark.parametrize("text, exit_code", [
+    ("(L L)\n(L x)\n", EXIT_PARSE),
+    ("(L L)\n(0: 0 0 0)\n", EXIT_FAMILY),
+], ids=["parse", "family"])
+def test_map_error_leaves_no_out_file(tmp_path, capsys, text, exit_code):
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="ascii")
+    dst = tmp_path / "out.txt"
+    code, out, _ = run(capsys, "map", "--direction", "b2t", "--in", str(src), "--out", str(dst))
+    assert (code, out) == (exit_code, "")
+    assert not dst.exists()
+
+
 def _map_line(tmp_path, capsys, direction, line):
     src = tmp_path / "in.txt"
     src.write_text(line + "\n", encoding="ascii")
@@ -209,7 +247,7 @@ def test_map_deep_lines_at_the_default_recursion_limit(tmp_path, capsys):
 
 def test_map_dot_has_no_depth_limit(tmp_path, capsys, monkeypatch):
     # `echo 1000 | fussforest map --direction t2b --format dot`: a right comb 1000 deep.
-    monkeypatch.setattr("sys.stdin", io.StringIO("1000\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(b"1000\n"))
     code, out, _ = run(capsys, "map", "--direction", "t2b", "--format", "dot")
     assert code == EXIT_OK
     lines = out.splitlines()
@@ -259,9 +297,11 @@ def test_map_family_mismatch(tmp_path, capsys):
 
 def test_map_garbage_is_a_parse_error_not_a_mismatch(tmp_path, capsys):
     src = tmp_path / "junk.txt"
-    src.write_text("hello\n", encoding="ascii")
-    code, _, _ = run(capsys, "map", "--direction", "t2b", "--in", str(src))
-    assert code == EXIT_PARSE
+    # An empty line is a tree of neither family.
+    for direction, text in (("t2b", "hello\n"), ("b2t", "(L L)\n\n(L L)\n")):
+        src.write_text(text, encoding="ascii")
+        code, _, _ = run(capsys, "map", "--direction", direction, "--in", str(src))
+        assert code == EXIT_PARSE, text
 
 
 def test_map_output_closes_over_enumerate_output(tmp_path, capsys):

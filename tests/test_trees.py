@@ -37,6 +37,7 @@ from fussforest.trees import (
     parse_binary,
     parse_binary_word,
     parse_forest,
+    parse_forest_forms,
     parse_ternary,
     parse_ternary_preorder,
     serialize,
@@ -351,9 +352,23 @@ def test_forest_round_trip():
 
 
 def test_parse_forest_offset_spans_lines():
-    with pytest.raises(ParseError) as err:
-        parse_forest("L\n(L x)\n", BINARY)
-    assert err.value.offset == 5  # the 'x', counted from the start of the text
+    for parse in (parse_forest, parse_forest_forms):
+        with pytest.raises(ParseError) as err:
+            parse("L\n(L x)\n", BINARY)
+        assert err.value.offset == 5  # the 'x', counted from the start of the text
+
+
+def test_parse_forest_forms_final_newline_is_optional():
+    assert parse_forest_forms("", BINARY) == []
+    assert parse_forest_forms("L\n(L L)", BINARY) == parse_forest_forms("L\n(L L)\n", BINARY)
+    assert parse_forest_forms("L\n(L L)", BINARY) == ["0", "100"]
+    assert parse_forest_forms("(1: 0 0 0)", COLORED_TERNARY) == [[-2, 0, 0, 0]]
+
+
+def test_parse_forest_forms_are_the_forms_of_parse_forest():
+    text = serialize_forest(tuple(enumerate_colored_ternary(3)))
+    forms = parse_forest_forms(text, COLORED_TERNARY)
+    assert forms == [ternary_preorder(t) for t in parse_forest(text, COLORED_TERNARY)]
 
 
 def test_parse_ternary_rejects_a_color_too_long_to_convert():

@@ -149,6 +149,10 @@ def test_a_corrupt_series_kernel_is_reported_not_raised(monkeypatch, capsys):
     assert code == cli.EXIT_VERIFY_FAILED
     for name in ("substitution_functional_equations", "colored_ternary_equals_catalan"):
         assert re.search(rf"^check {name} \[[^]]*\]: cases=\d+ \d+ FAILED$", out, re.M), name
+    # A failing series comparison shows its first wrong coefficient, not both series.
+    for name in ("substitution_functional_equations", "forest_expansion_route"):
+        first = re.search(rf"^check {name} .*\n(  first failure: .*)$", out, re.M).group(1)
+        assert " i=" in first and len(first) < 100, first
     assert out.splitlines()[-1].startswith("suite series: FAIL (")
 
 
