@@ -45,7 +45,6 @@ from .trees import (
     form_dot,
     internal_count,
     leaf,
-    leaf_count,
     node,
     parse_binary,
     parse_binary_word,
@@ -54,22 +53,13 @@ from .trees import (
     parse_ternary,
     parse_ternary_preorder,
     serialize,
-    serialize_forest,
     ternary_from_preorder,
     ternary_preorder,
     ternary_preorder_text,
     ternary_weight,
-    to_dot,
     validate,
 )
-from .bijection import (
-    decode,
-    encode,
-    phi,
-    phi_forest,
-    phi_inverse,
-    phi_inverse_forest,
-)
+from .bijection import decode, encode, phi, phi_inverse
 from .series import (
     TruncatedSeries,
     colored_tree_series,

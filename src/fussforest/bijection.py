@@ -12,7 +12,9 @@ so a tree of weight n (2*internal + color sum) becomes a binary tree with n
 internal vertices.  {0, 10, 11} is a complete prefix code, so `phi_inverse`
 is greedy decoding: cut the word into code words from the left, and read
 each back as one vertex.  Both directions are single passes over flat
-sequences and have no depth limit.  See Knuth, TAOCP 4A, section 7.2.1.6,
+sequences and have no depth limit.  A tree value holds its preorder form,
+so `phi` and `phi_inverse` are `encode` and `decode` with the form
+unwrapped and the image wrapped.  See Knuth, TAOCP 4A, section 7.2.1.6,
 on preorder (Lukasiewicz) codes of trees.
 
 In the paper's terms, the code word of a vertex of color k is the chain of
@@ -26,20 +28,14 @@ recursive rewriting passes, and the tests check this module against it.
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
-from .trees import (
-    BinaryTree,
-    ColoredTernaryTree,
-    binary_from_word,
-    binary_word,
-    ternary_from_preorder,
-    ternary_preorder,
-)
+from .trees import BinaryTree, ColoredTernaryTree, binary_from_word, ternary_from_preorder
 
 _CODE_WORD = re.compile(r"(?:10)*(?:0|11)")
 
 
-def encode(preorder: list[int]) -> str:
+def encode(preorder: Sequence[int]) -> str:
     """Binary preorder word of the image of a colored ternary preorder list."""
     return "".join(["10" * c + "0" if c >= 0 else "10" * ~c + "11" for c in preorder])
 
@@ -55,17 +51,9 @@ def decode(word: str) -> list[int]:
 
 def phi(tree: ColoredTernaryTree) -> BinaryTree:
     """Map a colored ternary tree of weight n to a binary tree with n internal vertices."""
-    return binary_from_word(encode(ternary_preorder(tree)))
+    return binary_from_word(encode(tree.preorder))
 
 
 def phi_inverse(tree: BinaryTree) -> ColoredTernaryTree:
     """Map a binary tree with n internal vertices to a colored ternary tree of weight n."""
-    return ternary_from_preorder(decode(binary_word(tree)))
-
-
-def phi_forest(forest) -> tuple[BinaryTree, ...]:
-    return tuple(phi(t) for t in forest)
-
-
-def phi_inverse_forest(forest) -> tuple[ColoredTernaryTree, ...]:
-    return tuple(phi_inverse(t) for t in forest)
+    return ternary_from_preorder(decode(tree.word))

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
-family mismatch, 6 out of resources (Python's recursion limit or memory, or
-a verify worker that died without sending its results).
+family mismatch, 6 out of resources (Python's recursion limit, memory or int
+sizes, as for a color of 2**62 or more, or a verify worker that died without
+sending its results).
 Stdout is deterministic for identical invocations; counts and timing go to
 stderr.  ``verify`` runs its checks in forked workers, one per usable CPU,
 and its output is the same for any number of them.  When the reader of
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     except FamilyMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAMILY
-    except (RecursionError, MemoryError, verify.WorkerError) as err:
+    except (RecursionError, MemoryError, OverflowError, verify.WorkerError) as err:
         print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

@@ -37,10 +37,6 @@ class TruncatedSeries:
         return self.coeffs[i]
 
     @classmethod
-    def of(cls, coeffs) -> TruncatedSeries:
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
     def constant(cls, value: int, order: int) -> TruncatedSeries:
         return cls((value,) + (0,) * order)
 

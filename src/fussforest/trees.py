@@ -1,4 +1,4 @@
-"""Immutable tree values, exhaustive generators, preorder forms, text format, validation.
+"""Tree values, exhaustive generators, preorder forms, text format, validation.
 
 Two families live here: complete binary trees (every vertex has 0 or 2
 children) and colored complete ternary trees (0 or 3 children, every vertex
@@ -6,14 +6,23 @@ carries a color >= 0).  The deterministic generators below are the
 enumeration oracles the closed-form counts in :mod:`fussforest.exact` are
 checked against.
 
+A tree value is a frozen view of its flat preorder form (see "Preorder
+forms"): equality and hashing are those of the form, and `left`, `right`,
+`children` and `color` slice it.  The constructors refuse a malformed
+vertex (ValueError for a color that is not an int >= 0, TypeError for a
+wrong child count or child type); the `*_from_*` wrappers trust their form.
+Building a tree vertex by vertex copies the forms of the children, so a
+chain of depth d costs O(d^2); parsing and the `*_from_*` wrappers are
+linear.
+
 Canonical text format (bit-exact, one tree per line in files):
   binary          L                    leaf
                   (<left> <right>)     internal, single space separator
   colored ternary <c>                  leaf with color c (decimal, no sign)
                   (<c>: <t1> <t2> <t3>)   internal vertex with color c
 Parsers accept spaces and tabs between tokens and report the offset of the
-first error.  Generating, parsing, rendering (text and DOT), validating and
-comparing trees go through flat preorder forms or explicit stacks, without
+first error.  Generating, parsing, rendering (text and DOT) and comparing
+trees go through flat preorder forms or explicit stacks, without
 recursion, so no tree depth reaches Python's recursion limit.
 """
 
@@ -38,43 +47,76 @@ class SizeCapError(ValueError):
     """Refused an enumeration whose size parameter exceeds the configured cap."""
 
 
-class _Tree:
-    """Equality and hashing by structure, computed without recursion."""
+@dataclass(frozen=True, init=False)
+class BinaryTree:
+    """A complete binary tree, held as its preorder word (see "Preorder forms").
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _tokens(self) == _tokens(other)
+    ``BinaryTree()`` is a leaf and ``BinaryTree(left, right)`` an internal
+    vertex; see the module docstring.
+    """
 
-    def __hash__(self) -> int:
-        return hash(_tokens(self))
+    word: str
 
-
-@dataclass(frozen=True, eq=False)
-class BinaryTree(_Tree):
-    """A complete binary tree; a leaf has both children None."""
-
-    left: BinaryTree | None = None
-    right: BinaryTree | None = None
+    def __init__(self, left: BinaryTree | None = None, right: BinaryTree | None = None):
+        if left is None and right is None:
+            word = "0"
+        elif isinstance(left, BinaryTree) and isinstance(right, BinaryTree):
+            word = f"1{left.word}{right.word}"
+        else:
+            raise TypeError("a binary vertex has no children or two BinaryTree children, got "
+                            f"{type(left).__name__} and {type(right).__name__}")
+        object.__setattr__(self, "word", word)
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
+        return self.word == "0"
+
+    @property
+    def left(self) -> BinaryTree | None:
+        return None if self.is_leaf else binary_from_word(_children(self.word, 2)[0])
+
+    @property
+    def right(self) -> BinaryTree | None:
+        return None if self.is_leaf else binary_from_word(_children(self.word, 2)[1])
 
 
 LEAF = BinaryTree()
 
 
-@dataclass(frozen=True, eq=False)
-class ColoredTernaryTree(_Tree):
-    """A complete ternary tree vertex with a nonnegative color; leaves have no children."""
+@dataclass(frozen=True, init=False)
+class ColoredTernaryTree:
+    """A colored complete ternary tree, held as its preorder tuple (see "Preorder forms").
 
-    color: int = 0
-    children: tuple[ColoredTernaryTree, ...] = ()
+    ``ColoredTernaryTree(color)`` is a leaf and ``ColoredTernaryTree(color,
+    (first, second, third))`` an internal vertex; see the module docstring.
+    """
+
+    preorder: tuple[int, ...]
+
+    def __init__(self, color: int = 0, children: Sequence[ColoredTernaryTree] = ()):
+        if not isinstance(color, int) or isinstance(color, bool) or color < 0:
+            raise ValueError(f"a color must be an int >= 0, got {color!r}")
+        if children and not (len(children) == 3
+                             and all(isinstance(c, ColoredTernaryTree) for c in children)):
+            raise TypeError("a ternary vertex has no children or three ColoredTernaryTree "
+                            f"children, got {', '.join(type(c).__name__ for c in children)}")
+        preorder = (color,)
+        if children:  # one concatenation, so a vertex costs the size of its subtree
+            preorder = (~color, *children[0].preorder, *children[1].preorder, *children[2].preorder)
+        object.__setattr__(self, "preorder", preorder)
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return self.preorder[0] >= 0
+
+    @property
+    def color(self) -> int:
+        c = self.preorder[0]
+        return c if c >= 0 else ~c
+
+    @property
+    def children(self) -> tuple[ColoredTernaryTree, ...]:
+        return tuple(map(ternary_from_preorder, _children(self.preorder, 3)))
 
 
 def leaf(color: int = 0) -> ColoredTernaryTree:
@@ -86,60 +128,32 @@ def node(color: int, first: ColoredTernaryTree, second: ColoredTernaryTree,
     return ColoredTernaryTree(color, (first, second, third))
 
 
-def _tokens(tree: _Tree) -> tuple:
-    """A flat tuple that tells tree objects apart, malformed ones included.
-
-    In preorder, a tree vertex stands for its class followed by its fields,
-    a tuple (of children) for its length followed by its items, and any
-    other value for itself.
-    """
-    tokens = []
-    stack = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Tree):
-            tokens.append(type(item))
-            stack += reversed(vars(item).values())
-        elif type(item) is tuple:
-            tokens += (tuple, len(item))
-            stack += reversed(item)
-        else:
-            tokens.append(item)
-    return tuple(tokens)
+def _children(form: str | tuple[int, ...], arity: int) -> list:
+    """The forms of the root's children, cut in one scan: a child ends where
+    the vertices since the one before it first make a whole tree."""
+    is_internal = (lambda v: v == "1") if arity == 2 else (lambda v: v < 0)
+    children = []
+    start = need = 1
+    for end in range(1, len(form)):
+        need += arity - 1 if is_internal(form[end]) else -1
+        if not need:
+            children.append(form[start:end + 1])
+            start, need = end + 1, 1
+    return children
 
 
 # ---------------------------------------------------------------------------
 # Vertex statistics
 # ---------------------------------------------------------------------------
 
-def _vertices(tree: BinaryTree | ColoredTernaryTree) -> Iterator[tuple[int, int | None]]:
-    """(number of children, color) of each vertex in preorder, taken as they
-    are, so that malformed trees such as ``leaf(-1)`` are walked too; binary
-    vertices have color None."""
-    stack = [tree]
-    while stack:
-        vertex = stack.pop()
-        if isinstance(vertex, BinaryTree):
-            children = () if vertex.left is None else (vertex.left, vertex.right)
-            yield len(children), None
-        else:
-            children = vertex.children
-            yield len(children), vertex.color
-        stack += reversed(children)
-
-
 def internal_count(tree: BinaryTree | ColoredTernaryTree) -> int:
     """Number of vertices that have children."""
-    return sum(1 for count, _ in _vertices(tree) if count)
-
-
-def leaf_count(tree: BinaryTree | ColoredTernaryTree) -> int:
-    return internal_count(tree) * (1 if isinstance(tree, BinaryTree) else 2) + 1
+    return tree.word.count("1") if isinstance(tree, BinaryTree) else sum(c < 0 for c in tree.preorder)
 
 
 def color_sum(tree: ColoredTernaryTree) -> int:
     """Sum of the colors over all vertices."""
-    return sum(color for _, color in _vertices(tree))
+    return sum(c if c >= 0 else ~c for c in tree.preorder)
 
 
 def ternary_weight(tree: ColoredTernaryTree) -> int:
@@ -157,7 +171,7 @@ def ternary_weight(tree: ColoredTernaryTree) -> int:
 # ---------------------------------------------------------------------------
 #
 # The generators yield preorder forms (see below); the object-level ones
-# build a tree from each form.
+# wrap each form in a tree value.
 
 def _enumeration_cap(max_n: int | None) -> int:
     if max_n is not None:
@@ -334,66 +348,29 @@ class ValidationReport:
     path: tuple[int, ...] | None = None
     message: str | None = None
 
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid"
-        where = "/".join(str(i) for i in self.path) if self.path else "root"
-        return f"invalid at {where}: {self.message}"
-
-
-def _binary_vertex(vertex) -> tuple[str | None, tuple]:
-    """What is wrong with one binary vertex, or None; and its children."""
-    if not isinstance(vertex, BinaryTree):
-        return f"expected a BinaryTree node, got {type(vertex).__name__}", ()
-    if (vertex.left is None) != (vertex.right is None):
-        return "binary vertex must have 0 or 2 children", ()
-    return None, () if vertex.left is None else (vertex.left, vertex.right)
-
-
-def _ternary_vertex(vertex) -> tuple[str | None, tuple]:
-    """What is wrong with one colored ternary vertex, or None; and its children."""
-    if not isinstance(vertex, ColoredTernaryTree):
-        return f"expected a ColoredTernaryTree node, got {type(vertex).__name__}", ()
-    color = vertex.color
-    if not isinstance(color, int) or isinstance(color, bool):
-        return f"color must be an int, got {type(color).__name__}", ()
-    if color < 0:
-        return f"color must be >= 0, got {color}", ()
-    if len(vertex.children) not in (0, 3):
-        return f"ternary vertex must have 0 or 3 children, has {len(vertex.children)}", ()
-    return None, vertex.children
-
 
 def validate(obj, family: str) -> ValidationReport:
-    """Check completeness (0-or-2 / 0-or-3 children) and color nonnegativity.
+    """Check that `obj` is a tree of the family, or a non-empty forest (sequence) of them.
 
-    `obj` may be a single tree or a forest (sequence of trees); for forests
-    the first path component is the component index.  Never raises; the
-    report carries the first violation in preorder.
+    The constructors refuse malformed vertices, so a tree value is complete
+    and its colors are nonnegative; what is left to check is type and family.
+    For a forest the path is the index of the first foreign component.
+    Never raises on foreign input.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    check = _binary_vertex if family == BINARY else _ternary_vertex
-    # Each entry: a vertex, and the way up from it: (its index among its
-    # siblings, the parent's way up), or None for a root.
-    if isinstance(obj, (BinaryTree, ColoredTernaryTree)):
-        stack = [(obj, None)]
-    elif not isinstance(obj, Sequence):
-        return ValidationReport(False, (), f"expected a tree or forest, got {type(obj).__name__}")
-    elif len(obj) == 0:
+    kind = BinaryTree if family == BINARY else ColoredTernaryTree
+    if isinstance(obj, kind):
+        return ValidationReport(True)
+    if not isinstance(obj, Sequence):
+        return ValidationReport(False, (), f"expected a {kind.__name__} or a forest of them, "
+                                           f"got {type(obj).__name__}")
+    if len(obj) == 0:
         return ValidationReport(False, (), "a forest needs at least one component")
-    else:
-        stack = [(tree, (index, None)) for index, tree in reversed(list(enumerate(obj)))]
-    while stack:
-        vertex, up = stack.pop()
-        message, children = check(vertex)
-        if message is not None:
-            path = []
-            while up is not None:
-                index, up = up
-                path.append(index)
-            return ValidationReport(False, tuple(reversed(path)), message)
-        stack += [(child, (index, up)) for index, child in reversed(list(enumerate(children)))]
+    for index, tree in enumerate(obj):
+        if not isinstance(tree, kind):
+            return ValidationReport(False, (index,),
+                                    f"expected a {kind.__name__}, got {type(tree).__name__}")
     return ValidationReport(True)
 
 
@@ -406,40 +383,31 @@ def validate(obj, family: str) -> ValidationReport:
 #   binary word       a str with "1" for an internal vertex and "0" for a leaf
 #   ternary preorder  a list with c for a leaf of color c and ~c (= -1 - c)
 #                     for an internal vertex of color c
-# The functions below take valid forms and trees; validate() checks trees.
+# A tree value holds its form (the ternary one as a tuple), so the functions
+# below convert in O(1) or one copy; the *_from_* ones trust their form.
 
 def binary_word(tree: BinaryTree) -> str:
     """Preorder word of a binary tree."""
-    return "".join("1" if count else "0" for count, _ in _vertices(tree))
+    return tree.word
 
 
 def ternary_preorder(tree: ColoredTernaryTree) -> list[int]:
-    """Preorder list of a colored ternary tree; raises ValueError on a negative color."""
-    preorder = []
-    for count, color in _vertices(tree):
-        if color < 0:
-            raise ValueError(f"colors must be >= 0, got {color}")
-        preorder.append(~color if count else color)
-    return preorder
+    """Preorder list of a colored ternary tree."""
+    return list(tree.preorder)
 
 
 def binary_from_word(word: str) -> BinaryTree:
     """The binary tree whose preorder word is `word`."""
-    built = []  # finished subtrees; the next one in preorder on top
-    for letter in reversed(word):
-        built.append(LEAF if letter == "0" else BinaryTree(built.pop(), built.pop()))
-    return built.pop()
+    tree = object.__new__(BinaryTree)
+    object.__setattr__(tree, "word", word)
+    return tree
 
 
 def ternary_from_preorder(preorder: Sequence[int]) -> ColoredTernaryTree:
     """The colored ternary tree whose preorder list is `preorder`."""
-    built = []
-    for c in reversed(preorder):
-        if c >= 0:
-            built.append(ColoredTernaryTree(c))
-        else:
-            built.append(ColoredTernaryTree(~c, (built.pop(), built.pop(), built.pop())))
-    return built.pop()
+    tree = object.__new__(ColoredTernaryTree)
+    object.__setattr__(tree, "preorder", tuple(preorder))
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +425,12 @@ class ParseError(ValueError):
 
 
 def _error_at(text: str, offset: int, expected: str) -> ParseError:
-    found = repr(text[offset]) if offset < len(text) else "end of input"
+    """The error at `offset`; a byte that was not ASCII, which the
+    "surrogateescape" decoding turned into a lone surrogate, is named by value."""
+    if offset >= len(text):
+        return ParseError(offset, expected, "end of input")
+    ch = text[offset]
+    found = f"byte {ord(ch) - 0xDC00:#04x}" if "\udc80" <= ch <= "\udcff" else repr(ch)
     return ParseError(offset, expected, found)
 
 
@@ -504,13 +477,8 @@ def ternary_preorder_text(preorder: Sequence[int]) -> str:
 def serialize(tree: BinaryTree | ColoredTernaryTree) -> str:
     """Canonical single-line text for one tree of either family."""
     if isinstance(tree, BinaryTree):
-        return binary_word_text(binary_word(tree))
-    return ternary_preorder_text(ternary_preorder(tree))
-
-
-def serialize_forest(forest: Sequence) -> str:
-    """One tree per line, trailing newline included."""
-    return "".join(serialize(t) + "\n" for t in forest)
+        return binary_word_text(tree.word)
+    return ternary_preorder_text(tree.preorder)
 
 
 _BLANKS = str.maketrans("", "", " \t")
@@ -656,8 +624,18 @@ def parse_forest(text: str, family: str) -> tuple:
 # DOT export
 # ---------------------------------------------------------------------------
 
-def _dot(vertices, index: int) -> str:
-    """The digraph of (number of children, color) per vertex in preorder."""
+def form_dot(form: str | Sequence[int], index: int = 0) -> str:
+    """One digraph per tree, from a binary word or a colored ternary preorder list.
+
+    Circles are internal vertices and points leaves, numbered v0, v1, ... in
+    preorder.  Colors label the vertices (xlabel for point-shaped leaves);
+    child order is preserved through ordinal edge labels 1, 2, 3 left to
+    right.  An edge is written once the subtree below it is.
+    """
+    if isinstance(form, str):
+        vertices = ((2, None) if letter == "1" else (0, None) for letter in form)
+    else:
+        vertices = ((3, ~c) if c < 0 else (0, c) for c in form)
     lines = [f"digraph tree{index} {{"]
     open_vertices = []  # per open vertex: [name, children written, children]
     for number, (count, color) in enumerate(vertices):
@@ -678,22 +656,3 @@ def _dot(vertices, index: int) -> str:
             name = parent[0]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def form_dot(form: str | Sequence[int], index: int = 0) -> str:
-    """One digraph per tree, from a binary word or a colored ternary preorder list.
-
-    Circles are internal vertices and points leaves, numbered v0, v1, ... in
-    preorder.  Colors label the vertices (xlabel for point-shaped leaves);
-    child order is preserved through ordinal edge labels 1, 2, 3 left to
-    right.  An edge is written once the subtree below it is.
-    """
-    if isinstance(form, str):
-        return _dot(((2, None) if letter == "1" else (0, None) for letter in form), index)
-    return _dot(((3, ~c) if c < 0 else (0, c) for c in form), index)
-
-
-def to_dot(tree: BinaryTree | ColoredTernaryTree, index: int = 0) -> str:
-    """:func:`form_dot` of a tree object, drawn as it is: a malformed tree
-    such as ``leaf(-1)`` is drawn too."""
-    return _dot(_vertices(tree), index)

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 
 import oracle_paths
 from conftest import binary_trees, colored_ternary_trees
-from fussforest.bijection import (
-    decode,
-    encode,
-    phi,
-    phi_forest,
-    phi_inverse,
-    phi_inverse_forest,
-)
+from fussforest.bijection import decode, encode, phi, phi_inverse
 from fussforest.exact import forest_catalan, k_catalan
 from fussforest.trees import (
     BINARY,
@@ -219,8 +212,7 @@ def test_round_trip_from_binary_property(b):
 # ---------------------------------------------------------------------------
 
 def test_forest_map_is_componentwise():
-    assert phi_forest((leaf(1), leaf(0))) == (parse_binary("(L L)"), LEAF)
-    assert phi_forest((leaf(2),)) == (phi(leaf(2)),)
+    assert tuple(map(phi, (leaf(1), leaf(0)))) == (parse_binary("(L L)"), LEAF)
 
 
 def test_forest_bijection_small():
@@ -233,8 +225,8 @@ def test_forest_bijection_small():
             assert len(binary_keys) == forest_catalan(n, 2, m)
             images = []
             for f in colored:
-                image = phi_forest(f)
-                assert phi_inverse_forest(image) == f
+                image = tuple(map(phi, f))
+                assert tuple(map(phi_inverse, image)) == f
                 images.append(tuple(serialize(t) for t in image))
             assert len(set(images)) == len(images) == len(binary_keys)
             assert set(images) == binary_keys

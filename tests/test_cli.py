@@ -20,7 +20,7 @@ from fussforest.cli import (
     main,
 )
 from fussforest import trees
-from fussforest.trees import parse_binary, to_dot
+from fussforest.trees import form_dot, parse_binary_word
 
 
 def run(capsys, *argv):
@@ -125,6 +125,17 @@ def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhausti
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("color", ["9" * 300, str(2**62)], ids=["300-digits", "2**62"])
+def test_map_huge_color_is_out_of_resources(tmp_path, capsys, color):
+    # The image of a leaf of color c holds "10" * c, which Python cannot size
+    # from 2**62 on (OverflowError): exit 6, not a traceback and exit 1.
+    src = tmp_path / "huge.txt"
+    src.write_text(color + "\n", encoding="ascii")
+    code, out, err = run(capsys, "map", "--direction", "t2b", "--in", str(src))
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("error: out of resources: OverflowError: ") and err.count("\n") == 1
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     target = tmp_path / "trees.txt"
     code, out, _ = run(capsys, "enumerate", "--family", "binary", "--n", "3",
@@ -183,7 +194,8 @@ def test_map_dot_and_json_formats(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out) == ["(L (L L))", "((L L) L)"]
     code, out, _ = run(capsys, "map", "--direction", "t2b", "--in", str(src), "--format", "dot")
     assert code == EXIT_OK
-    assert out == to_dot(parse_binary("(L (L L))"), 0) + to_dot(parse_binary("((L L) L)"), 1)
+    images = ("(L (L L))", "((L L) L)")
+    assert out == "".join(form_dot(parse_binary_word(text), i) for i, text in enumerate(images))
 
 
 def _stdin(data: bytes):
@@ -191,14 +203,15 @@ def _stdin(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
 
 
-@pytest.mark.parametrize("data, offset", [
-    (b"(L L)\n(L \xc3\xa9)\n", 9),  # UTF-8 e-acute
-    (b"(L L)\n\xff\n", 6),
+@pytest.mark.parametrize("data, offset, byte", [
+    (b"(L L)\n(L \xc3\xa9)\n", 9, "0xc3"),  # UTF-8 e-acute
+    (b"(L L)\n\xff\n", 6, "0xff"),
 ], ids=["utf8", "xff"])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_map_non_ascii_byte_is_a_parse_error_from_file_and_stdin(
-        tmp_path, capsys, monkeypatch, source, data, offset):
-    # Input is read as bytes, one character each, wherever it comes from.
+        tmp_path, capsys, monkeypatch, source, data, offset, byte):
+    # Input is read as bytes, one character each, wherever it comes from,
+    # and the error names the byte by its value.
     if source == "file":
         src = tmp_path / "in.txt"
         src.write_bytes(data)
@@ -208,7 +221,7 @@ def test_map_non_ascii_byte_is_a_parse_error_from_file_and_stdin(
         argv = []
     code, out, err = run(capsys, "map", "--direction", "b2t", *argv)
     assert code == EXIT_PARSE and out == ""
-    assert err.startswith(f"error: offset {offset}: ")
+    assert err == f"error: offset {offset}: expected 'L' or '(', found byte {byte}\n"
 
 
 @pytest.mark.parametrize("text, exit_code", [

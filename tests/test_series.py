@@ -17,7 +17,7 @@ from fussforest.series import (
     geometric_series_power,
 )
 
-S = TruncatedSeries.of
+S = lambda coeffs: TruncatedSeries(tuple(coeffs))  # noqa: E731
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=5, max_size=5).map(S)
 valuation_one = small_series.map(lambda s: TruncatedSeries((0,) + s.coeffs[1:]))

@@ -32,7 +32,6 @@ from fussforest.trees import (
     form_dot,
     internal_count,
     leaf,
-    leaf_count,
     node,
     parse_binary,
     parse_binary_word,
@@ -41,12 +40,10 @@ from fussforest.trees import (
     parse_ternary,
     parse_ternary_preorder,
     serialize,
-    serialize_forest,
     ternary_from_preorder,
     ternary_preorder,
     ternary_preorder_text,
     ternary_weight,
-    to_dot,
     validate,
 )
 from fussforest.trees import _weak_compositions
@@ -56,16 +53,9 @@ def test_vertex_statistics():
     assert internal_count(LEAF) == 0
     assert internal_count(BinaryTree(LEAF, LEAF)) == 1
     assert internal_count(node(0, leaf(), leaf(), leaf())) == 1
-    assert leaf_count(BinaryTree(LEAF, LEAF)) == 2
     assert color_sum(leaf(2)) == 2
     assert color_sum(node(1, leaf(1), leaf(0), leaf(2))) == 4
     assert ternary_weight(node(1, leaf(1), leaf(0), leaf(2))) == 6
-    # Malformed trees are counted as they are, as by the recursive definitions.
-    negative = node(-2, leaf(-1), leaf(0), leaf(4))
-    assert (internal_count(negative), color_sum(negative), ternary_weight(negative)) == (1, 1, 3)
-    assert color_sum(leaf(-1)) == -1 and internal_count(ColoredTernaryTree(0, (leaf(),))) == 1
-    with pytest.raises(ValueError):
-        ternary_preorder(negative)
 
 
 def test_trees_are_immutable_values():
@@ -73,13 +63,40 @@ def test_trees_are_immutable_values():
     assert len({leaf(1), leaf(1), leaf(2)}) == 2
     with pytest.raises(AttributeError):
         LEAF.left = LEAF
+    with pytest.raises(AttributeError):
+        leaf(1).preorder = (2,)
     assert BinaryTree(LEAF, LEAF) != node(0, leaf(), leaf(), leaf())
-    # Equality and hashing stay total on malformed trees.
-    broken = BinaryTree(LEAF, None)
-    assert broken == BinaryTree(LEAF, None) and hash(broken) == hash(BinaryTree(LEAF, None))
-    assert broken != BinaryTree(None, LEAF) and broken != BinaryTree(LEAF, LEAF)
-    assert leaf(-1) == leaf(-1) and hash(leaf(-1)) == hash(leaf(-1)) and leaf(-1) != leaf(1)
-    assert ColoredTernaryTree(0, (leaf(1),)) != ColoredTernaryTree(0, (1,))
+    # Equality and hashing are those of the one field, the preorder form.
+    assert hash(BinaryTree(LEAF, LEAF)) == hash(binary_from_word("100"))
+    assert BinaryTree(LEAF, BinaryTree(LEAF, LEAF)) != BinaryTree(BinaryTree(LEAF, LEAF), LEAF)
+    assert node(1, leaf(0), leaf(2), leaf(0)) == ternary_from_preorder([~1, 0, 2, 0])
+
+
+def test_trees_are_views_of_their_forms():
+    b = parse_binary("((L L) (L (L L)))")
+    assert b.word == "110010100" and not b.is_leaf
+    assert (b.left, b.right) == (parse_binary("(L L)"), parse_binary("(L (L L))"))
+    assert (LEAF.left, LEAF.right, LEAF.is_leaf) == (None, None, True)
+    t = node(1, leaf(0), leaf(2), node(0, leaf(), leaf(), leaf()))
+    assert t.preorder == (~1, 0, 2, ~0, 0, 0, 0) and (t.color, t.is_leaf) == (1, False)
+    assert t.children == (leaf(0), leaf(2), node(0, leaf(), leaf(), leaf()))
+    assert (leaf(5).color, leaf(5).children, leaf(5).is_leaf) == (5, (), True)
+    assert ColoredTernaryTree(3, [leaf(), leaf(), leaf()]) == node(3, leaf(), leaf(), leaf())
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: leaf(-1), ValueError),
+    (lambda: leaf(True), ValueError),
+    (lambda: node(1.0, leaf(), leaf(), leaf()), ValueError),
+    (lambda: BinaryTree(LEAF, None), TypeError),
+    (lambda: BinaryTree(None, LEAF), TypeError),
+    (lambda: ColoredTernaryTree(0, (leaf(),)), TypeError),
+    (lambda: node(0, leaf(), BinaryTree(LEAF, LEAF), leaf()), TypeError),
+], ids=["negative-color", "bool-color", "float-color", "binary-one-child", "binary-no-left",
+        "ternary-one-child", "binary-child-under-ternary"])
+def test_constructors_refuse_malformed_vertices(build, error):
+    with pytest.raises(error):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +363,7 @@ def test_parse_ternary_errors_carry_offsets(text, offset):
 
 def test_forest_round_trip():
     forest = tuple(enumerate_colored_ternary(3))
-    text = serialize_forest(forest)
+    text = "".join(serialize(t) + "\n" for t in forest)
     assert parse_forest(text, COLORED_TERNARY) == forest
     assert text.endswith("\n")
 
@@ -366,7 +383,7 @@ def test_parse_forest_forms_final_newline_is_optional():
 
 
 def test_parse_forest_forms_are_the_forms_of_parse_forest():
-    text = serialize_forest(tuple(enumerate_colored_ternary(3)))
+    text = "".join(serialize(t) + "\n" for t in enumerate_colored_ternary(3))
     forms = parse_forest_forms(text, COLORED_TERNARY)
     assert forms == [ternary_preorder(t) for t in parse_forest(text, COLORED_TERNARY)]
 
@@ -392,13 +409,14 @@ def test_deep_texts_parse_without_recursion():
 
 def test_deep_trees_check_and_compare_without_recursion():
     # A binary right comb 5000 levels deep, and a colored ternary tree whose
-    # last child nests 10^4 levels deep.
+    # last child nests 10^4 levels deep, built from their forms in linear time.
     comb = binary_from_word("10" * 5000 + "0")
-    assert internal_count(comb) == 5000 and leaf_count(comb) == 5001
-    assert validate(comb, BINARY).ok
+    assert internal_count(comb) == 5000
+    assert validate(comb, BINARY).ok and validate((LEAF, comb), BINARY).ok
     copy = binary_from_word("10" * 5000 + "0")
     assert comb == copy and hash(comb) == hash(copy)
     assert comb != binary_from_word("10" * 4999 + "0")
+    assert (comb.left, comb.right) == (LEAF, binary_from_word("10" * 4999 + "0"))
     depth = 10_000
     preorder = [~1, 0, 2] * depth + [3]
     tree = ternary_from_preorder(preorder)
@@ -408,18 +426,8 @@ def test_deep_trees_check_and_compare_without_recursion():
     copy = ternary_from_preorder(preorder)
     assert tree == copy and hash(tree) == hash(copy)
     assert tree != ternary_from_preorder(preorder[:-1] + [4])
-    # The first violation is found, with its path, at the bottom.
-    broken_ternary, broken_binary = leaf(-1), BinaryTree(LEAF, None)
-    for _ in range(depth):
-        broken_ternary = node(1, leaf(0), leaf(2), broken_ternary)
-        broken_binary = BinaryTree(LEAF, broken_binary)
-    report = validate(broken_ternary, COLORED_TERNARY)
-    assert (report.ok, report.path) == (False, (2,) * depth)
-    assert report.message == "color must be >= 0, got -1"
-    report = validate((LEAF, broken_binary), BINARY)
-    assert (report.ok, report.path) == (False, (1,) + (1,) * depth)
-    assert broken_binary == BinaryTree(LEAF, broken_binary.right)
-    assert hash(broken_ternary) == hash(node(1, leaf(0), leaf(2), broken_ternary.children[2]))
+    assert tree.children == (leaf(0), leaf(2), ternary_from_preorder(preorder[3:]))
+    assert serialize(tree) == "(1: 0 2 " * depth + "3" + ")" * depth
 
 
 @settings(max_examples=8, deadline=None)
@@ -509,25 +517,25 @@ def test_validate_accepts_valid_trees():
     assert validate((LEAF, BinaryTree(LEAF, LEAF)), BINARY).ok
 
 
-def test_validate_reports_arity_violations_with_paths():
-    broken = ColoredTernaryTree(0, (leaf(0), leaf(0)))
-    report = validate(broken, COLORED_TERNARY)
-    assert not report.ok
-    assert report.path == ()
-    nested = node(0, leaf(0), broken, leaf(0))
-    report = validate(nested, COLORED_TERNARY)
-    assert not report.ok
-    assert report.path == (1,)
-    assert "0 or 3" in report.message
-
-
-def test_validate_reports_bad_binary_and_colors():
-    assert not validate(BinaryTree(LEAF, None), BINARY).ok
-    assert not validate(leaf(-1), COLORED_TERNARY).ok
-    report = validate((leaf(0), leaf(-2)), COLORED_TERNARY)
-    assert not report.ok and report.path == (1,)
-    assert not validate(LEAF, COLORED_TERNARY).ok
-    assert not validate((), BINARY).ok
+def test_validate_checks_type_and_family():
+    # The constructors refuse malformed vertices, so what is left is the
+    # type: a tree of the other family, a forest with a foreign component,
+    # an empty forest or something that is not a sequence.
+    report = validate(LEAF, COLORED_TERNARY)
+    assert (report.ok, report.path) == (False, ())
+    assert "ColoredTernaryTree" in report.message and "BinaryTree" in report.message
+    report = validate((leaf(0), leaf(2), LEAF, "L"), COLORED_TERNARY)
+    assert (report.ok, report.path) == (False, (2,))
+    report = validate([BinaryTree(LEAF, LEAF), leaf()], BINARY)
+    assert (report.ok, report.path) == (False, (1,))
+    for empty in ((), [], ""):
+        report = validate(empty, BINARY)
+        assert (report.ok, report.path, report.message) == (
+            False, (), "a forest needs at least one component")
+    for foreign in (None, 3, {LEAF}, iter([LEAF])):
+        report = validate(foreign, BINARY)
+        assert (report.ok, report.path) == (False, ())
+    assert validate([LEAF, parse_binary("(L L)")], BINARY).ok
 
 
 def test_validate_rejects_unknown_family():
@@ -540,31 +548,25 @@ def test_validate_rejects_unknown_family():
 # ---------------------------------------------------------------------------
 
 def test_dot_export_single_colored_leaf():
-    assert to_dot(leaf(2)) == 'digraph tree0 {\n  v0 [shape=point, xlabel="2"];\n}\n'
+    assert form_dot([2]) == 'digraph tree0 {\n  v0 [shape=point, xlabel="2"];\n}\n'
 
 
 def test_dot_export_structure():
-    dot = to_dot(BinaryTree(LEAF, LEAF), index=3)
+    dot = form_dot(binary_word(BinaryTree(LEAF, LEAF)), index=3)
     assert dot.startswith("digraph tree3 {")
     assert '  v0 [shape=circle, label=""];' in dot
     assert '  v0 -> v1 [label="1"];' in dot
     assert '  v0 -> v2 [label="2"];' in dot
-    ternary_dot = to_dot(node(1, leaf(0), leaf(0), leaf(2)))
+    ternary_dot = form_dot(ternary_preorder(node(1, leaf(0), leaf(0), leaf(2))))
     assert '  v0 [shape=circle, label="1"];' in ternary_dot
     assert '  v0 -> v3 [label="3"];' in ternary_dot
     assert 'xlabel="2"' in ternary_dot
 
 
 def test_dot_matches_the_recursive_oracle():
-    # Every tree of weight <= 6, through the tree and through its preorder form.
+    # Every tree of weight <= 6, drawn from its preorder form.
     for n in range(7):
         for b in enumerate_binary(n):
-            expected = oracle_generators.to_dot(b, n)
-            assert to_dot(b, n) == expected and form_dot(binary_word(b), n) == expected
+            assert form_dot(binary_word(b), n) == oracle_generators.to_dot(b, n)
         for t in enumerate_colored_ternary(n):
-            expected = oracle_generators.to_dot(t, n)
-            assert to_dot(t, n) == expected and form_dot(ternary_preorder(t), n) == expected
-    # Tree objects are drawn as they are, negative colors and odd child counts included.
-    for malformed in (leaf(-1), node(-2, leaf(-1), leaf(0), leaf(4)),
-                      ColoredTernaryTree(3, (leaf(1), node(0, leaf(), leaf(), leaf())))):
-        assert to_dot(malformed, 1) == oracle_generators.to_dot(malformed, 1)
+            assert form_dot(ternary_preorder(t), n) == oracle_generators.to_dot(t, n)
