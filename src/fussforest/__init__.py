@@ -33,7 +33,6 @@ from .trees import (
     SizeCapError,
     ValidationReport,
     binary_from_word,
-    binary_word,
     binary_word_text,
     color_sum,
     enumerate_binary,
@@ -48,13 +47,11 @@ from .trees import (
     node,
     parse_binary,
     parse_binary_word,
-    parse_forest,
     parse_forest_forms,
     parse_ternary,
     parse_ternary_preorder,
     serialize,
     ternary_from_preorder,
-    ternary_preorder,
     ternary_preorder_text,
     ternary_weight,
     validate,

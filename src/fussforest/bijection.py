@@ -12,9 +12,10 @@ so a tree of weight n (2*internal + color sum) becomes a binary tree with n
 internal vertices.  {0, 10, 11} is a complete prefix code, so `phi_inverse`
 is greedy decoding: cut the word into code words from the left, and read
 each back as one vertex.  Both directions are single passes over flat
-sequences and have no depth limit.  A tree value holds its preorder form,
-so `phi` and `phi_inverse` are `encode` and `decode` with the form
-unwrapped and the image wrapped.  See Knuth, TAOCP 4A, section 7.2.1.6,
+sequences and have no depth limit.  `encode` takes a preorder tuple and
+`decode` returns one.  A tree value holds its preorder form, so `phi` and
+`phi_inverse` are `encode` and `decode` with the form unwrapped and the
+image wrapped.  See Knuth, TAOCP 4A, section 7.2.1.6,
 on preorder (Lukasiewicz) codes of trees.
 
 In the paper's terms, the code word of a vertex of color k is the chain of
@@ -28,25 +29,24 @@ recursive rewriting passes, and the tests check this module against it.
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
 from .trees import BinaryTree, ColoredTernaryTree, binary_from_word, ternary_from_preorder
 
 _CODE_WORD = re.compile(r"(?:10)*(?:0|11)")
 
 
-def encode(preorder: Sequence[int]) -> str:
-    """Binary preorder word of the image of a colored ternary preorder list."""
+def encode(preorder: tuple[int, ...]) -> str:
+    """Binary preorder word of the image of a colored ternary preorder tuple."""
     return "".join(["10" * c + "0" if c >= 0 else "10" * ~c + "11" for c in preorder])
 
 
-def decode(word: str) -> list[int]:
-    """Colored ternary preorder list whose image is the binary preorder word `word`.
+def decode(word: str) -> tuple[int, ...]:
+    """Colored ternary preorder tuple whose image is the binary preorder word `word`.
 
     A code word of length l is "10" * (l // 2) + "0" for a leaf and
     "10" * (l // 2 - 1) + "11" for an internal vertex.
     """
-    return [len(w) >> 1 if w[-1] == "0" else -(len(w) >> 1) for w in _CODE_WORD.findall(word)]
+    return tuple([len(w) >> 1 if w[-1] == "0" else -(len(w) >> 1) for w in _CODE_WORD.findall(word)])
 
 
 def phi(tree: ColoredTernaryTree) -> BinaryTree:

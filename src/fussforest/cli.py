@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
 family mismatch, 6 out of resources (Python's recursion limit, memory or int
-sizes, as for a color of 2**62 or more, or a verify worker that died without
-sending its results).
+sizes, as for a color of 2**62 or more, a full disk or quota, or a verify
+worker that died without sending its results).
 Stdout is deterministic for identical invocations; counts and timing go to
 stderr.  ``verify`` runs its checks in forked workers, one per usable CPU,
 and its output is the same for any number of them.  When the reader of
@@ -21,6 +21,7 @@ not parse, or parses as the other family, leaves no output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -203,6 +204,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_OK
     except (ValueError, OSError) as err:
+        if isinstance(err, OSError) and err.errno in (errno.ENOSPC, errno.EFBIG, errno.EDQUOT):
+            print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -176,7 +176,7 @@ _EVALUATORS = {
 }
 
 # Identities stated only for a single component: m must be exactly 1.
-_SINGLE_COMPONENT = (Identity.TERNARY, Identity.QUINARY)
+SINGLE_COMPONENT = (Identity.TERNARY, Identity.QUINARY)
 
 
 def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
@@ -190,7 +190,7 @@ def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
         raise ValueError(f"identity_side requires n >= 0, got n={n}")
     if m < 1:
         raise ValueError(f"identity_side requires m >= 1, got m={m}")
-    if identity in _SINGLE_COMPONENT and m != 1:
+    if identity in SINGLE_COMPONENT and m != 1:
         raise ValueError(f"{identity.value} is a single-component identity; m must be 1, got m={m}")
     k, rhs = _EVALUATORS[identity]
     if side is Side.RHS:

@@ -10,10 +10,11 @@ A tree value is a frozen view of its flat preorder form (see "Preorder
 forms"): equality and hashing are those of the form, and `left`, `right`,
 `children` and `color` slice it.  The constructors refuse a malformed
 vertex (ValueError for a color that is not an int >= 0, TypeError for a
-wrong child count or child type); the `*_from_*` wrappers trust their form.
+wrong child count or child type); the `*_from_*` wrappers trust their form,
+and `validate` checks it.
 Building a tree vertex by vertex copies the forms of the children, so a
-chain of depth d costs O(d^2); parsing and the `*_from_*` wrappers are
-linear.
+chain of depth d costs O(d^2); parsing is linear, and the `*_from_*`
+wrappers take O(1).
 
 Canonical text format (bit-exact, one tree per line in files):
   binary          L                    leaf
@@ -29,6 +30,7 @@ recursion, so no tree depth reaches Python's recursion limit.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import re
 import sys
@@ -256,16 +258,17 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
         word = word[:index] + "1" + "".join(unit * s + "0" for s in children + sizes[::-1])
 
 
-def _ternary_preorders(n: int, p: int | None) -> Iterator[list[int]]:
-    """Weight-n colored ternary preorder lists with p internal vertices, or every p ascending.
+def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
+    """Weight-n colored ternary preorder tuples with p internal vertices, or every p ascending.
 
     Each shape is painted with every weak composition of the color sum
     n - 2p, whose parts go to the vertices in preorder.
     """
     for q in range(n // 2 + 1) if p is None else range(p, min(p, n // 2) + 1):
         for shape in _shape_words(q, 3):
+            flips = [-1 if letter == "1" else 0 for letter in shape]  # c ^ -1 == ~c
             for colors in _weak_compositions(n - 2 * q, 3 * q + 1):
-                yield [~c if letter == "1" else c for letter, c in zip(shape, colors)]
+                yield tuple(map(operator.xor, flips, colors))
 
 
 def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
@@ -285,8 +288,8 @@ def enumerate_binary(n: int, max_n: int | None = None) -> Iterator[BinaryTree]:
 
 
 def enumerate_ternary_preorders(n: int, p: int | None = None,
-                                max_n: int | None = None) -> Iterator[list[int]]:
-    """Yield the preorder list of every weight-n colored ternary tree once, in fixed order.
+                                max_n: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the preorder tuple of every weight-n colored ternary tree once, in fixed order.
 
     With p given, restricts to trees with p internal vertices (color sum
     n-2p); an out-of-range p yields nothing.  With p None, runs p ascending
@@ -309,12 +312,12 @@ def enumerate_forest_forms(family: str, n: int, m: int,
                            max_n: int | None = None) -> Iterator[tuple]:
     """Yield every ordered m-tuple of forms with total weight n, exactly once.
 
-    Components are binary words or colored ternary preorder lists; weight is
+    Components are binary words or colored ternary preorder tuples; weight is
     the internal-vertex count of a binary tree and :func:`ternary_weight`
     of a colored one.  Outer order is the weak composition of n into m
     component weights (lexicographic ascending), inner order the
     per-component generators, the first component's slowest.  The call lists
-    every component form of weight <= n; colored forests get lists of their own.
+    every component form of weight <= n, and forests share those forms.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -323,9 +326,8 @@ def enumerate_forest_forms(family: str, n: int, m: int,
     _check_cap(n, max_n)
     forms = [list(_shape_words(s, 2) if family == BINARY else _ternary_preorders(s, None))
              for s in range(n + 1)]
-    forests = itertools.chain.from_iterable(
+    return itertools.chain.from_iterable(
         itertools.product(*(forms[s] for s in sizes)) for sizes in _weak_compositions(n, m))
-    return forests if family == BINARY else (tuple(map(list, forest)) for forest in forests)
 
 
 def enumerate_forests(family: str, n: int, m: int,
@@ -350,28 +352,46 @@ class ValidationReport:
 
 
 def validate(obj, family: str) -> ValidationReport:
-    """Check that `obj` is a tree of the family, or a non-empty forest (sequence) of them.
+    """Check that `obj` is a tree of the family, or a non-empty forest (sequence) of them,
+    and that each tree's preorder form is complete.
 
-    The constructors refuse malformed vertices, so a tree value is complete
-    and its colors are nonnegative; what is left to check is type and family.
-    For a forest the path is the index of the first foreign component.
-    Never raises on foreign input.
+    The constructors build complete forms, but the `*_from_*` wrappers trust
+    theirs, so each form is scanned once.  The path is () for a tree and (i,)
+    for the i-th component of a forest.  Never raises on foreign input.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     kind = BinaryTree if family == BINARY else ColoredTernaryTree
-    if isinstance(obj, kind):
-        return ValidationReport(True)
-    if not isinstance(obj, Sequence):
+    forest = (obj,) if isinstance(obj, kind) else obj
+    if not isinstance(forest, Sequence):
         return ValidationReport(False, (), f"expected a {kind.__name__} or a forest of them, "
                                            f"got {type(obj).__name__}")
-    if len(obj) == 0:
+    if len(forest) == 0:
         return ValidationReport(False, (), "a forest needs at least one component")
-    for index, tree in enumerate(obj):
-        if not isinstance(tree, kind):
-            return ValidationReport(False, (index,),
-                                    f"expected a {kind.__name__}, got {type(tree).__name__}")
+    for index, tree in enumerate(forest):
+        fault = _tree_fault(tree, kind)
+        if fault is not None:
+            return ValidationReport(False, (index,) if forest is obj else (), fault)
     return ValidationReport(True)
+
+
+def _tree_fault(tree, kind: type) -> str | None:
+    """What makes `tree` not a complete tree of type `kind`, or None; the form
+    is read in one scan that counts the subtrees still to read."""
+    if not isinstance(tree, kind):
+        return f"expected a {kind.__name__}, got {type(tree).__name__}"
+    binary = kind is BinaryTree
+    form = tree.word if binary else tree.preorder
+    if not isinstance(form, str if binary else tuple):
+        return f"expected a {'str' if binary else 'tuple'} form, got {type(form).__name__}"
+    need = 1
+    for index, item in enumerate(form):
+        if item not in ("0", "1") if binary else type(item) is not int:  # bool is not a color
+            return f"item {index} is {item!r}, not {'a letter 0 or 1' if binary else 'an int'}"
+        if not need:
+            return f"item {index} is past the end of the tree"
+        need += (1 if item == "1" else -1) if binary else (2 if item < 0 else -1)
+    return f"the form ends {need} subtree(s) short" if need else None
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +401,11 @@ def validate(obj, family: str) -> ValidationReport:
 # The parsers, the renderers and the bijection work on flat preorder forms,
 # so no tree depth reaches Python's recursion limit:
 #   binary word       a str with "1" for an internal vertex and "0" for a leaf
-#   ternary preorder  a list with c for a leaf of color c and ~c (= -1 - c)
+#   ternary preorder  a tuple with c for a leaf of color c and ~c (= -1 - c)
 #                     for an internal vertex of color c
-# A tree value holds its form (the ternary one as a tuple), so the functions
-# below convert in O(1) or one copy; the *_from_* ones trust their form.
-
-def binary_word(tree: BinaryTree) -> str:
-    """Preorder word of a binary tree."""
-    return tree.word
-
-
-def ternary_preorder(tree: ColoredTernaryTree) -> list[int]:
-    """Preorder list of a colored ternary tree."""
-    return list(tree.preorder)
-
+# Both forms are immutable and hashable.  A tree value holds its form, as
+# `tree.word` or `tree.preorder`; the *_from_* functions below wrap a form
+# in O(1) and trust it.
 
 def binary_from_word(word: str) -> BinaryTree:
     """The binary tree whose preorder word is `word`."""
@@ -403,10 +414,10 @@ def binary_from_word(word: str) -> BinaryTree:
     return tree
 
 
-def ternary_from_preorder(preorder: Sequence[int]) -> ColoredTernaryTree:
-    """The colored ternary tree whose preorder list is `preorder`."""
+def ternary_from_preorder(preorder: tuple[int, ...]) -> ColoredTernaryTree:
+    """The colored ternary tree whose preorder tuple is `preorder`."""
     tree = object.__new__(ColoredTernaryTree)
-    object.__setattr__(tree, "preorder", tuple(preorder))
+    object.__setattr__(tree, "preorder", preorder)
     return tree
 
 
@@ -455,7 +466,7 @@ def binary_word_text(word: str) -> str:
 
 
 def ternary_preorder_text(preorder: Sequence[int]) -> str:
-    """Canonical text of a colored ternary preorder list."""
+    """Canonical text of a colored ternary preorder tuple."""
     out = []
     pending = []
     for c in preorder:
@@ -529,8 +540,8 @@ def _binary_error(text: str, index: int, expected: str) -> ParseError:
 _TERNARY_TOKEN = re.compile(r"[ \t]*(?:(\()[ \t]*([0-9]*)(:?)|([0-9]+)|(\))|[^ \t])")
 
 
-def parse_ternary_preorder(text: str) -> list[int]:
-    """Parse one canonical colored ternary tree to its preorder list."""
+def parse_ternary_preorder(text: str) -> tuple[int, ...]:
+    """Parse one canonical colored ternary tree to its preorder tuple."""
     preorder = []
     pending = []  # per open vertex: subtrees still to read before its ')'
     done = False
@@ -571,7 +582,7 @@ def parse_ternary_preorder(text: str) -> list[int]:
     if not done:
         expected = "')'" if pending and not pending[-1] else "a color digit or '('"
         raise ParseError(len(text), expected, "end of input")
-    return preorder
+    return tuple(preorder)
 
 
 def _ternary_token(text: str, index: int) -> re.Match:
@@ -614,18 +625,12 @@ def parse_forest_forms(text: str, family: str) -> list:
     return forms
 
 
-def parse_forest(text: str, family: str) -> tuple:
-    """Parse one tree per line; ParseError offsets are relative to the whole text."""
-    build = binary_from_word if family == BINARY else ternary_from_preorder
-    return tuple(map(build, parse_forest_forms(text, family)))
-
-
 # ---------------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------------
 
 def form_dot(form: str | Sequence[int], index: int = 0) -> str:
-    """One digraph per tree, from a binary word or a colored ternary preorder list.
+    """One digraph per tree, from a binary word or a colored ternary preorder tuple.
 
     Circles are internal vertices and points leaves, numbered v0, v1, ... in
     preorder.  Colors label the vertices (xlabel for point-shaped leaves);

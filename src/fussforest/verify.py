@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bijection, series, trees
-from .exact import (Identity, Side, binomial, by_parts_terms, colored_ternary_count,
-                    forest_catalan, identity_side, k_catalan)
+from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
+                    colored_ternary_count, forest_catalan, identity_side, k_catalan)
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,10 @@ class CheckResult:
 
 
 def _text(value) -> str:
-    """How a case shows a value: canonical text for a colored ternary preorder
-    list, each tree followed by ';' for a forest of them, str() otherwise."""
-    if isinstance(value, list):
-        return trees.ternary_preorder_text(value)
+    """How a case shows a value: for a forest of colored ternary preorder
+    tuples, the canonical text of each tree followed by ';', str() otherwise."""
     if isinstance(value, tuple):
-        return "".join(_text(tree) + ";" for tree in value)
+        return "".join(trees.ternary_preorder_text(form) + ";" for form in value)
     return str(value)
 
 
@@ -123,20 +121,21 @@ class VerificationReport:
 # identities suite
 # ---------------------------------------------------------------------------
 
-# name, identity, whether m is swept, and a third witness of the single-tree
-# identities: the Catalan number both sides must equal.  A witnessed check
-# shows LHS / RHS against the witness, the others LHS against RHS.
+# name, identity, and a third witness of the single-tree identities: the
+# Catalan number both sides must equal.  A witnessed check shows LHS / RHS
+# against the witness, the others LHS against RHS.
 _IDENTITY_CHECKS = (
-    ("ternary_identity", Identity.TERNARY, False, lambda n: k_catalan(n, 2)),
-    ("ternary_forest_identity", Identity.TERNARY_FOREST, True, None),
-    ("quinary_forest_identity", Identity.QUINARY_FOREST, True, None),
-    ("quinary_identity", Identity.QUINARY, False, None),
+    ("ternary_identity", Identity.TERNARY, lambda n: k_catalan(n, 2)),
+    ("ternary_forest_identity", Identity.TERNARY_FOREST, None),
+    ("quinary_forest_identity", Identity.QUINARY_FOREST, None),
+    ("quinary_identity", Identity.QUINARY, None),
 )
 
 
-def _check_identity(name: str, identity: Identity, sweeps_m: bool, witness,
-                    n_max: int, m_max: int) -> CheckResult:
-    """One identity's RHS against its LHS (and its witness) for every n, and m if swept."""
+def _check_identity(name: str, identity: Identity, witness, n_max: int, m_max: int) -> CheckResult:
+    """One identity's RHS against its LHS (and its witness) for every n, and
+    every m unless the identity is single-component."""
+    sweeps_m = identity not in SINGLE_COMPONENT
     bounds = {"n_max": n_max, "m_max": m_max} if sweeps_m else {"n_max": n_max}
     result = CheckResult(name, bounds)
     for n in range(n_max + 1):
@@ -186,24 +185,23 @@ def _check_tree_bijection(n_max: int) -> CheckResult:
         binary_words = set(trees.enumerate_binary_words(n, max_n=n_max))
         domain, images = set(), []
         for t in trees.enumerate_colored_ternary(n, max_n=n_max):
-            form = trees.ternary_preorder(t)
             b = bijection.phi(t)
-            word = trees.binary_word(b)
+            word = b.word
             result.case(
-                lambda: {"n": n, "tree": trees.ternary_preorder_text(form)},
+                lambda: {"n": n, "tree": trees.ternary_preorder_text(t.preorder)},
                 True,
                 word.count("1") == n,
                 word in binary_words,
                 bijection.phi_inverse(b) == t,
             )
-            domain.add(tuple(form))
+            domain.add(t.preorder)
             images.append(word)
         for b in trees.enumerate_binary(n, max_n=n_max):
             t = bijection.phi_inverse(b)
             result.case(
                 lambda: {"n": n, "tree": trees.serialize(b)},
                 True,
-                tuple(trees.ternary_preorder(t)) in domain,
+                t.preorder in domain,
                 bijection.phi(t) == b,
             )
         # Injective onto: image multiset has no repeats and covers the codomain.
@@ -333,13 +331,9 @@ def _series_suite(order: int, m_max: int) -> list:
 def _check_binary_generator(n_max: int) -> CheckResult:
     result = CheckResult("binary_generator", {"n_max": n_max})
     for n in range(n_max + 1):
-        seen = set()
-        count = 0
-        for word in trees.enumerate_binary_words(n, max_n=n_max):
-            count += 1
-            seen.add(word)
-        result.case({"n": n, "property": "count"}, k_catalan(n, 2), count)
-        result.case({"n": n, "property": "distinct"}, count, len(seen))
+        words = list(trees.enumerate_binary_words(n, max_n=n_max))
+        result.case({"n": n, "property": "count"}, k_catalan(n, 2), len(words))
+        result.case({"n": n, "property": "distinct"}, len(words), len(set(words)))
     return result
 
 
@@ -347,17 +341,12 @@ def _check_colored_generator(n_max: int) -> CheckResult:
     result = CheckResult("colored_generator", {"n_max": n_max})
     for n in range(n_max + 1):
         for p in range(n // 2 + 1):
-            seen = set()
-            count = 0
-            members = True
-            for t in trees.enumerate_ternary_preorders(n, p, max_n=n_max):
-                count += 1
-                seen.add(tuple(t))
-                if sum(c < 0 for c in t) != p or sum(c if c >= 0 else ~c for c in t) != n - 2 * p:
-                    members = False
+            forms = list(trees.enumerate_ternary_preorders(n, p, max_n=n_max))
+            members = all(sum(c < 0 for c in t) == p
+                          and sum(c if c >= 0 else ~c for c in t) == n - 2 * p for t in forms)
             result.case({"n": n, "p": p, "property": "count"},
-                        colored_ternary_count(n, p), count)
-            result.case({"n": n, "p": p, "property": "distinct"}, count, len(seen))
+                        colored_ternary_count(n, p), len(forms))
+            result.case({"n": n, "p": p, "property": "distinct"}, len(forms), len(set(forms)))
             result.case({"n": n, "p": p, "property": "members"}, True, members)
     return result
 

@@ -11,7 +11,6 @@ from fussforest.trees import (
     COLORED_TERNARY,
     LEAF,
     binary_from_word,
-    binary_word,
     enumerate_binary,
     enumerate_colored_ternary,
     enumerate_forests,
@@ -22,7 +21,6 @@ from fussforest.trees import (
     parse_ternary,
     serialize,
     ternary_from_preorder,
-    ternary_preorder,
     ternary_weight,
     validate,
 )
@@ -65,10 +63,10 @@ def test_encode_substitutes_one_code_word_per_vertex():
 
 
 def test_decode_cuts_the_word_into_code_words():
-    assert decode("0") == [0]
-    assert decode("10100") == [2]
-    assert decode("11000") == [~0, 0, 0, 0]
-    assert decode("1011000") == [~1, 0, 0, 0]
+    assert decode("0") == (0,)
+    assert decode("10100") == (2,)
+    assert decode("11000") == (~0, 0, 0, 0)
+    assert decode("1011000") == (~1, 0, 0, 0)
 
 
 def test_prefix_code_equals_the_path_construction_to_weight_10():
@@ -88,14 +86,14 @@ def test_prefix_code_equals_the_path_construction_to_weight_10():
 def test_objects_10000_deep_match_the_word_level_map():
     # A right comb of colored vertices: each internal vertex's last child is the next.
     depth = 10_000
-    preorder = [~1, 0, 2] * depth + [3]
+    preorder = (~1, 0, 2) * depth + (3,)
     word = encode(preorder)
     assert word == ("1011" + "0" + "10100") * depth + "1010100"
     tree = ternary_from_preorder(preorder)
     image = phi(tree)
-    assert binary_word(image) == word
-    assert ternary_preorder(phi_inverse(image)) == preorder
-    assert decode(binary_word(binary_from_word(word))) == preorder
+    assert image.word == word
+    assert phi_inverse(image).preorder == preorder
+    assert decode(binary_from_word(word).word) == preorder
 
 
 # ---------------------------------------------------------------------------

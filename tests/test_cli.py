@@ -136,6 +136,37 @@ def test_map_huge_color_is_out_of_resources(tmp_path, capsys, color):
     assert err.startswith("error: out of resources: OverflowError: ") and err.count("\n") == 1
 
 
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@_NO_DEV_FULL
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--family", "binary", "--n", "3"],
+    ["map", "--direction", "b2t", "--in", "{src}"],
+], ids=["enumerate", "map"])
+def test_full_disk_is_out_of_resources(tmp_path, capsys, command):
+    # Writing to /dev/full fails with ENOSPC: a full disk, not a usage error.
+    src = tmp_path / "b.txt"
+    src.write_text("(L L)\n", encoding="ascii")
+    argv = [arg.format(src=src) for arg in command] + ["--out", "/dev/full"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("error: out of resources: OSError: [Errno 28]") and err.count("\n") == 1
+
+
+@_NO_DEV_FULL
+def test_full_stdout_is_out_of_resources():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + \
+        env.get("PYTHONPATH", "")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fussforest", "enumerate", "--family", "binary", "--n", "3"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith(b"error: out of resources: ") and proc.stderr.count(b"\n") == 1
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     target = tmp_path / "trees.txt"
     code, out, _ = run(capsys, "enumerate", "--family", "binary", "--n", "3",

@@ -1,4 +1,7 @@
-"""Tree values, generators, canonical text format, validation, DOT export."""
+"""Tree values, generators, canonical text format, validation, DOT export, README examples."""
+
+import doctest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from fussforest.trees import (
     ParseError,
     SizeCapError,
     binary_from_word,
-    binary_word,
     binary_word_text,
     color_sum,
     enumerate_binary,
@@ -35,13 +37,11 @@ from fussforest.trees import (
     node,
     parse_binary,
     parse_binary_word,
-    parse_forest,
     parse_forest_forms,
     parse_ternary,
     parse_ternary_preorder,
     serialize,
     ternary_from_preorder,
-    ternary_preorder,
     ternary_preorder_text,
     ternary_weight,
     validate,
@@ -69,7 +69,7 @@ def test_trees_are_immutable_values():
     # Equality and hashing are those of the one field, the preorder form.
     assert hash(BinaryTree(LEAF, LEAF)) == hash(binary_from_word("100"))
     assert BinaryTree(LEAF, BinaryTree(LEAF, LEAF)) != BinaryTree(BinaryTree(LEAF, LEAF), LEAF)
-    assert node(1, leaf(0), leaf(2), leaf(0)) == ternary_from_preorder([~1, 0, 2, 0])
+    assert node(1, leaf(0), leaf(2), leaf(0)) == ternary_from_preorder((~1, 0, 2, 0))
 
 
 def test_trees_are_views_of_their_forms():
@@ -173,7 +173,7 @@ def test_binary_order_matches_the_recursive_oracle():
     for n in range(10):
         expected = list(oracle_generators.gen_binary(n))
         assert list(enumerate_binary(n)) == expected
-        assert list(enumerate_binary_words(n)) == [binary_word(b) for b in expected]
+        assert list(enumerate_binary_words(n)) == [b.word for b in expected]
 
 
 def test_colored_order_matches_the_recursive_oracle():
@@ -182,17 +182,17 @@ def test_colored_order_matches_the_recursive_oracle():
             expected = list(oracle_generators.gen_colored_ternary(n, p))
             assert list(enumerate_colored_ternary(n, p)) == expected
             forms = list(enumerate_ternary_preorders(n, p))
-            assert forms == [ternary_preorder(t) for t in expected]
+            assert forms == [t.preorder for t in expected]
 
 
 def test_forest_order_matches_the_recursive_oracle():
-    for family, form in ((BINARY, binary_word), (COLORED_TERNARY, ternary_preorder)):
+    for family, form in ((BINARY, "word"), (COLORED_TERNARY, "preorder")):
         for n in range(6):
             for m in (1, 2, 3):
                 expected = list(oracle_generators.gen_forests(family, n, m))
                 assert list(enumerate_forests(family, n, m)) == expected
                 assert list(enumerate_forest_forms(family, n, m)) == [
-                    tuple(map(form, forest)) for forest in expected]
+                    tuple(getattr(tree, form) for tree in forest) for forest in expected]
 
 
 def test_binary_words_run_from_the_right_comb_to_the_left_comb():
@@ -210,11 +210,13 @@ def test_deep_binary_words_step_without_recursion():
         "10" * n + "0", "10" * (n - 2) + "11000", "10" * (n - 3) + "1100100"]
 
 
-def test_colored_forest_forms_share_no_lists():
-    forests = enumerate_forest_forms(COLORED_TERNARY, 4, 3)
-    for component in next(forests):
-        component[0] = 7
-    assert list(forests) == list(enumerate_forest_forms(COLORED_TERNARY, 4, 3))[1:]
+def test_colored_forest_forms_are_tuples():
+    # Components are immutable, so forests may share them, and they hash.
+    forms = list(enumerate_forest_forms(COLORED_TERNARY, 4, 3))
+    assert all(type(component) is tuple for forest in forms for component in forest)
+    with pytest.raises(TypeError):
+        forms[0][0][0] = 7
+    assert len(set(forms)) == len(forms) == forest_catalan(4, 2, 3)
 
 
 def test_weak_compositions_match_the_recursive_oracle():
@@ -228,7 +230,7 @@ def test_colors_of_a_large_colored_tree_take_no_frame_per_vertex():
     # 1801 vertices share 100 color units, deeper than the default recursion
     # limit if each part of a weak composition took a frame.
     first = next(enumerate_ternary_preorders(1300, 600, max_n=1300))
-    assert first == [~0, 0, 0] * 600 + [100]
+    assert first == (~0, 0, 0) * 600 + (100,)
 
 
 def test_enumerate_forest_rejects_bad_arguments():
@@ -362,30 +364,30 @@ def test_parse_ternary_errors_carry_offsets(text, offset):
 
 
 def test_forest_round_trip():
-    forest = tuple(enumerate_colored_ternary(3))
-    text = "".join(serialize(t) + "\n" for t in forest)
-    assert parse_forest(text, COLORED_TERNARY) == forest
+    forms = list(enumerate_ternary_preorders(3))
+    text = "".join(ternary_preorder_text(form) + "\n" for form in forms)
+    assert parse_forest_forms(text, COLORED_TERNARY) == forms
     assert text.endswith("\n")
 
 
 def test_parse_forest_offset_spans_lines():
-    for parse in (parse_forest, parse_forest_forms):
-        with pytest.raises(ParseError) as err:
-            parse("L\n(L x)\n", BINARY)
-        assert err.value.offset == 5  # the 'x', counted from the start of the text
+    with pytest.raises(ParseError) as err:
+        parse_forest_forms("L\n(L x)\n", BINARY)
+    assert err.value.offset == 5  # the 'x', counted from the start of the text
 
 
 def test_parse_forest_forms_final_newline_is_optional():
     assert parse_forest_forms("", BINARY) == []
     assert parse_forest_forms("L\n(L L)", BINARY) == parse_forest_forms("L\n(L L)\n", BINARY)
     assert parse_forest_forms("L\n(L L)", BINARY) == ["0", "100"]
-    assert parse_forest_forms("(1: 0 0 0)", COLORED_TERNARY) == [[-2, 0, 0, 0]]
+    assert parse_forest_forms("(1: 0 0 0)", COLORED_TERNARY) == [(-2, 0, 0, 0)]
 
 
-def test_parse_forest_forms_are_the_forms_of_parse_forest():
+def test_parse_forest_forms_are_the_forms_of_each_line():
     text = "".join(serialize(t) + "\n" for t in enumerate_colored_ternary(3))
     forms = parse_forest_forms(text, COLORED_TERNARY)
-    assert forms == [ternary_preorder(t) for t in parse_forest(text, COLORED_TERNARY)]
+    assert forms == [parse_ternary(line).preorder for line in text.splitlines()]
+    assert forms == [t.preorder for t in enumerate_colored_ternary(3)]
 
 
 def test_parse_ternary_rejects_a_color_too_long_to_convert():
@@ -401,7 +403,7 @@ def test_parse_ternary_rejects_a_color_too_long_to_convert():
 def test_deep_texts_parse_without_recursion():
     depth = 100_000
     assert parse_binary_word("(L " * depth + "L" + ")" * depth) == "10" * depth + "0"
-    assert parse_ternary_preorder("(0: 1 2 " * depth + "3" + ")" * depth) == [~0, 1, 2] * depth + [3]
+    assert parse_ternary_preorder("(0: 1 2 " * depth + "3" + ")" * depth) == (~0, 1, 2) * depth + (3,)
     with pytest.raises(ParseError) as err:
         parse_binary_word("(" * depth)
     assert (err.value.offset, err.value.found) == (depth, "end of input")
@@ -418,14 +420,14 @@ def test_deep_trees_check_and_compare_without_recursion():
     assert comb != binary_from_word("10" * 4999 + "0")
     assert (comb.left, comb.right) == (LEAF, binary_from_word("10" * 4999 + "0"))
     depth = 10_000
-    preorder = [~1, 0, 2] * depth + [3]
+    preorder = (~1, 0, 2) * depth + (3,)
     tree = ternary_from_preorder(preorder)
     assert (internal_count(tree), color_sum(tree), ternary_weight(tree)) == (
         depth, 3 * depth + 3, 5 * depth + 3)
     assert validate(tree, COLORED_TERNARY).ok
     copy = ternary_from_preorder(preorder)
     assert tree == copy and hash(tree) == hash(copy)
-    assert tree != ternary_from_preorder(preorder[:-1] + [4])
+    assert tree != ternary_from_preorder(preorder[:-1] + (4,))
     assert tree.children == (leaf(0), leaf(2), ternary_from_preorder(preorder[3:]))
     assert serialize(tree) == "(1: 0 2 " * depth + "3" + ")" * depth
 
@@ -435,7 +437,7 @@ def test_deep_trees_check_and_compare_without_recursion():
 def test_form_routines_on_deep_words(word):
     assert parse_binary_word(binary_word_text(word)) == word
     tree = binary_from_word(word)
-    assert binary_word(tree) == word and validate(tree, BINARY).ok
+    assert tree.word == word and validate(tree, BINARY).ok
     copy = binary_from_word(word)
     assert tree == copy and hash(tree) == hash(copy)
     preorder = decode(word)
@@ -538,6 +540,31 @@ def test_validate_checks_type_and_family():
     assert validate([LEAF, parse_binary("(L L)")], BINARY).ok
 
 
+@pytest.mark.parametrize("family, form, fragment", [
+    (BINARY, "11", "3 subtree(s) short"),
+    (BINARY, "100" + "0", "item 3 is past the end"),
+    (BINARY, "2", "item 0 is '2'"),
+    (BINARY, "", "1 subtree(s) short"),
+    (BINARY, ["1", "0", "0"], "expected a str form, got list"),
+    (COLORED_TERNARY, (-1, 0), "2 subtree(s) short"),
+    (COLORED_TERNARY, ("a",), "item 0 is 'a', not an int"),
+    (COLORED_TERNARY, (True,), "item 0 is True, not an int"),
+    (COLORED_TERNARY, (0, 0), "item 1 is past the end"),
+    (COLORED_TERNARY, [0], "expected a tuple form, got list"),
+    (COLORED_TERNARY, None, "expected a tuple form, got NoneType"),
+], ids=["binary-short", "binary-long", "binary-letter", "binary-empty", "binary-list",
+        "ternary-short", "ternary-str", "ternary-bool", "ternary-long", "ternary-list",
+        "ternary-none"])
+def test_validate_rejects_a_malformed_trusted_form(family, form, fragment):
+    # The *_from_* wrappers trust their form, so validate scans it.
+    tree = (binary_from_word if family == BINARY else ternary_from_preorder)(form)
+    report = validate(tree, family)
+    assert (report.ok, report.path) == (False, ()) and fragment in report.message
+    report = validate((tree,) if family == BINARY else [leaf(1), leaf(0), tree], family)
+    assert (report.ok, report.path) == (False, (0,) if family == BINARY else (2,))
+    assert fragment in report.message
+
+
 def test_validate_rejects_unknown_family():
     with pytest.raises(ValueError):
         validate(LEAF, "septenary")
@@ -552,12 +579,12 @@ def test_dot_export_single_colored_leaf():
 
 
 def test_dot_export_structure():
-    dot = form_dot(binary_word(BinaryTree(LEAF, LEAF)), index=3)
+    dot = form_dot(BinaryTree(LEAF, LEAF).word, index=3)
     assert dot.startswith("digraph tree3 {")
     assert '  v0 [shape=circle, label=""];' in dot
     assert '  v0 -> v1 [label="1"];' in dot
     assert '  v0 -> v2 [label="2"];' in dot
-    ternary_dot = form_dot(ternary_preorder(node(1, leaf(0), leaf(0), leaf(2))))
+    ternary_dot = form_dot(node(1, leaf(0), leaf(0), leaf(2)).preorder)
     assert '  v0 [shape=circle, label="1"];' in ternary_dot
     assert '  v0 -> v3 [label="3"];' in ternary_dot
     assert 'xlabel="2"' in ternary_dot
@@ -567,6 +594,16 @@ def test_dot_matches_the_recursive_oracle():
     # Every tree of weight <= 6, drawn from its preorder form.
     for n in range(7):
         for b in enumerate_binary(n):
-            assert form_dot(binary_word(b), n) == oracle_generators.to_dot(b, n)
+            assert form_dot(b.word, n) == oracle_generators.to_dot(b, n)
         for t in enumerate_colored_ternary(n):
-            assert form_dot(ternary_preorder(t), n) == oracle_generators.to_dot(t, n)
+            assert form_dot(t.preorder, n) == oracle_generators.to_dot(t, n)
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+def test_readme_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
+    assert result.attempted > 0 and result.failed == 0

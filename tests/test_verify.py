@@ -55,11 +55,9 @@ def test_counts_checks_do_not_call_the_bijection():
 
 def test_failures_show_trees_as_canonical_text():
     result = CheckResult("example", {})
-    result.case({"n": 2}, [~0, 0, 0, 0], [2])
-    result.case({"n": 3}, ([~1, 0, 0, 0], [3]), ([~1, 0, 0, 0], [0]))
+    result.case({"n": 3}, ((~1, 0, 0, 0), (3,)), ((~1, 0, 0, 0), (0,)))
     result.case({"n": 1}, True, False, True)
     assert [(f.expected, f.actual) for f in result.failures] == [
-        ("(0: 0 0 0)", "2"),
         ("(1: 0 0 0);3;", "(1: 0 0 0);0;"),
         ("True", "False / True"),
     ]
@@ -113,7 +111,7 @@ def test_termwise_check_fails_on_one_perturbed_term(monkeypatch):
 def test_failing_bijection_cases_carry_canonical_tree_text(monkeypatch):
     # Labels are rendered only for failing cases; they must read as before.
     real = bijection.decode
-    monkeypatch.setattr(bijection, "decode", lambda word: [2] if word == "11000" else real(word))
+    monkeypatch.setattr(bijection, "decode", lambda word: (2,) if word == "11000" else real(word))
     report = verify.run_suite("bijection", n_max=2, m_max=2)
     failures = {c.name: [(f.params, f.expected, f.actual) for f in c.failures]
                 for c in report.checks}
