@@ -123,6 +123,7 @@ def _emit(args, forms, family: str, verb: str) -> None:
     """Write forms to --out (or stdout) in --format; report the count on stderr."""
     if args.out == "-":
         count = _write(sys.stdout, forms, family, args.format)
+        sys.stdout.flush()  # a full stdout fails here, as a full --out file does on close
     else:
         with open(args.out, "w", encoding="ascii") as stream:
             count = _write(stream, forms, family, args.format)
@@ -172,8 +173,20 @@ def cmd_map(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, order=args.order)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
+    sys.stdout.flush()
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+
+
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so the exit-time flush of what a failed write left cannot fail."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-memory stdout, which no device refused
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -183,7 +196,9 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse uses exit code 2 for usage errors
         return exit_.code if isinstance(exit_.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a full or closed stdout fails here, not in the exit-time flush
+        return code
     except SizeCapError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
@@ -197,15 +212,12 @@ def main(argv=None) -> int:
         print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's exit-time flush of
-        # what is still buffered does not fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return EXIT_OK
     except (ValueError, OSError) as err:
         if isinstance(err, OSError) and err.errno in (errno.ENOSPC, errno.EFBIG, errno.EDQUOT):
             print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
+            _drop_stdout()
             return EXIT_RESOURCE
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -130,14 +130,18 @@ def node(color: int, first: ColoredTernaryTree, second: ColoredTernaryTree,
     return ColoredTernaryTree(color, (first, second, third))
 
 
+# By arity, how a vertex changes the count of subtrees still to read in a preorder form.
+_NEED_STEP = {2: lambda v: 1 if v == "1" else -1, 3: lambda v: 2 if v < 0 else -1}
+
+
 def _children(form: str | tuple[int, ...], arity: int) -> list:
     """The forms of the root's children, cut in one scan: a child ends where
     the vertices since the one before it first make a whole tree."""
-    is_internal = (lambda v: v == "1") if arity == 2 else (lambda v: v < 0)
+    step = _NEED_STEP[arity]
     children = []
     start = need = 1
     for end in range(1, len(form)):
-        need += arity - 1 if is_internal(form[end]) else -1
+        need += step(form[end])
         if not need:
             children.append(form[start:end + 1])
             start, need = end + 1, 1
@@ -384,13 +388,14 @@ def _tree_fault(tree, kind: type) -> str | None:
     form = tree.word if binary else tree.preorder
     if not isinstance(form, str if binary else tuple):
         return f"expected a {'str' if binary else 'tuple'} form, got {type(form).__name__}"
+    step = _NEED_STEP[2 if binary else 3]
     need = 1
     for index, item in enumerate(form):
         if item not in ("0", "1") if binary else type(item) is not int:  # bool is not a color
             return f"item {index} is {item!r}, not {'a letter 0 or 1' if binary else 'an int'}"
         if not need:
             return f"item {index} is past the end of the tree"
-        need += (1 if item == "1" else -1) if binary else (2 if item < 0 else -1)
+        need += step(item)
     return f"the form ends {need} subtree(s) short" if need else None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from . import bijection, series, trees
@@ -96,24 +96,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "passed": self.passed,
-            "total_cases": self.total_cases,
-            "total_failures": self.total_failures,
-            "checks": [
-                {
-                    "name": c.name,
-                    "bounds": c.bounds,
-                    "cases": c.cases,
-                    "failures": [
-                        {"params": f.params, "expected": f.expected, "actual": f.actual}
-                        for f in c.failures
-                    ],
-                }
-                for c in self.checks
-            ],
-        }
+        checks = [{"name": c.name, "bounds": c.bounds, "cases": c.cases,
+                   "failures": [asdict(f) for f in c.failures]} for c in self.checks]
+        payload = {"suite": self.suite, "passed": self.passed, "total_cases": self.total_cases,
+                   "total_failures": self.total_failures, "checks": checks}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

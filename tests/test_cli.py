@@ -155,14 +155,21 @@ def test_full_disk_is_out_of_resources(tmp_path, capsys, command):
 
 
 @_NO_DEV_FULL
-def test_full_stdout_is_out_of_resources():
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--family", "binary", "--n", "3"],
+    ["verify", "--suite", "bijection", "--n-max", "2"],
+    ["number", "--k", "2", "--n", "3"],
+], ids=["enumerate", "verify", "number"])
+def test_full_stdout_is_out_of_resources(command):
+    # Block-buffered stdout, as a user gets it: output too short to fill the
+    # buffer still has to fail in the command, not in the exit-time flush.
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + \
         env.get("PYTHONPATH", "")
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fussforest", "enumerate", "--family", "binary", "--n", "3"],
-            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "fussforest", *command],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
     assert proc.returncode == EXIT_RESOURCE
     assert proc.stderr.startswith(b"error: out of resources: ") and proc.stderr.count(b"\n") == 1
 
