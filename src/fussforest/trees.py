@@ -234,7 +234,15 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(composition)
 
 
-def _shape_words(p: int, k: int) -> Iterator[str]:
+# The most words a table of `_shape_words` holds.  Tables are built in
+# increasing size until one would pass this cap, so at most cap + 1 words are
+# ever asked of a size without a table: the tables stay near 0.5 MB (binary to
+# size 9, ternary to size 6) and cost milliseconds, and a call for a deep tree
+# still yields its first word at once.
+_TABLE_WORDS = 5000
+
+
+def _shape_words(p: int, k: int, tables: list[list[str]] | None = None) -> Iterator[str]:
     """Preorder words of the complete k-ary trees with p internal vertices.
 
     Vertex by vertex in preorder, child sizes run through the weak
@@ -242,11 +250,23 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
     the left comb.  A step, in one frame, scans from the right with a stack of
     subtree sizes; the first vertex whose child sizes step is the last that
     can, and its children and all subtrees after it restart as right combs.
+    Until a scan next reaches left of them, those pieces run as a Cartesian
+    product, the last fastest, so the longest suffix of them whose sizes have
+    a table comes from `itertools.product` over the tables, and stepping
+    resumes from the last word of each.  `tables[s]` lists every word of size
+    s; without it, the call builds its own with this generator, smallest first.
     """
+    if tables is None:
+        tables = []
+        while len(tables) < p:
+            table = list(itertools.islice(_shape_words(len(tables), k, tables), _TABLE_WORDS + 1))
+            if len(table) > _TABLE_WORDS:
+                break
+            tables.append(table)
     unit = "1" + "0" * (k - 1)
     word = unit * p + "0"
+    yield word
     while True:
-        yield word
         sizes = []  # internal sizes of the subtrees right of the scan, the nearest last
         for index in range(len(word) - 1, -1, -1):
             if word[index] == "1":
@@ -259,7 +279,14 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
                 sizes.append(0)
         else:
             return
-        word = word[:index] + "1" + "".join(unit * s + "0" for s in children + sizes[::-1])
+        pieces = children + sizes[::-1]
+        cut = len(pieces)
+        while cut and pieces[cut - 1] < len(tables):
+            cut -= 1
+        prefix = word[:index] + "1" + "".join(unit * s + "0" for s in pieces[:cut])
+        tail = [tables[s] for s in pieces[cut:]]
+        yield from map(prefix.__add__, map("".join, itertools.product(*tail)))
+        word = prefix + "".join(table[-1] for table in tail)
 
 
 def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
@@ -278,8 +305,8 @@ def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
 def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
     """Yield the preorder word of every binary tree with n internal vertices, once each.
 
-    Order is fixed: left subtree internal size ascending 0..n-1, recursively;
-    each word is the successor step of :func:`_shape_words` on the one before.
+    Order is fixed: left subtree internal size ascending 0..n-1, recursively,
+    as :func:`_shape_words` yields them.
     Total count equals k_catalan(n, 2).
     """
     _check_cap(n, max_n)

@@ -14,7 +14,10 @@ JSON output.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -314,6 +317,13 @@ def _series_suite(order: int, m_max: int) -> list:
 # counts suite
 # ---------------------------------------------------------------------------
 
+def _count(items) -> int:
+    """How many items an iterator yields, counted in C without keeping them."""
+    counter = itertools.count()
+    collections.deque(zip(items, counter), maxlen=0)
+    return next(counter)
+
+
 def _check_binary_generator(n_max: int) -> CheckResult:
     result = CheckResult("binary_generator", {"n_max": n_max})
     for n in range(n_max + 1):
@@ -325,11 +335,14 @@ def _check_binary_generator(n_max: int) -> CheckResult:
 
 def _check_colored_generator(n_max: int) -> CheckResult:
     result = CheckResult("colored_generator", {"n_max": n_max})
+    zeros = itertools.repeat(0)
     for n in range(n_max + 1):
         for p in range(n // 2 + 1):
             forms = list(trees.enumerate_ternary_preorders(n, p, max_n=n_max))
-            members = all(sum(c < 0 for c in t) == p
-                          and sum(c if c >= 0 else ~c for c in t) == n - 2 * p for t in forms)
+            # An internal vertex of color c is the item ~c = -1 - c, so a form
+            # with p negative items has color sum sum(map(abs, form)) - p.
+            members = all(sum(map(operator.lt, t, zeros)) == p and sum(map(abs, t)) == n - p
+                          for t in forms)
             result.case({"n": n, "p": p, "property": "count"},
                         colored_ternary_count(n, p), len(forms))
             result.case({"n": n, "p": p, "property": "distinct"}, len(forms), len(set(forms)))
@@ -346,7 +359,7 @@ def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
             colored = identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m)
             for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
                                      (trees.COLORED_TERNARY, colored)):
-                total = sum(1 for _ in trees.enumerate_forest_forms(family, n, m, max_n=n_max))
+                total = _count(trees.enumerate_forest_forms(family, n, m, max_n=n_max))
                 result.case({"n": n, "m": m, "family": family}, expected, total)
     return result
 

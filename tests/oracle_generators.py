@@ -1,16 +1,26 @@
-"""Recursive tree generators and DOT export, kept as oracles for the flat ones.
+"""Recursive tree generators, a stepwise shape generator and DOT export,
+kept as oracles for the flat ones.
 
-These build nested tree objects directly and recurse once per vertex, as
-the library did before it generated and rendered preorder forms.  The
-tests compare `fussforest.trees` against them: the same trees in the same
-order, and byte-identical DOT text.
+The recursive ones build nested tree objects directly and recurse once per
+vertex, as the library did before it generated and rendered preorder forms.
+The stepwise one steps each shape word to the next, as the library did
+before it yielded restarted tails from tables.  The tests compare
+`fussforest.trees` against them: the same trees in the same order, and
+byte-identical DOT text.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from fussforest.trees import BINARY, FAMILIES, LEAF, BinaryTree, ColoredTernaryTree
+from fussforest.trees import (
+    BINARY,
+    FAMILIES,
+    LEAF,
+    BinaryTree,
+    ColoredTernaryTree,
+    _next_composition,
+)
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -36,6 +46,33 @@ def gen_binary(n: int) -> Iterator[BinaryTree]:
         for left in gen_binary(left_size):
             for right in gen_binary(n - 1 - left_size):
                 yield BinaryTree(left, right)
+
+
+def shape_words_stepwise(p: int, k: int) -> Iterator[str]:
+    """Preorder words of the complete k-ary trees with p internal vertices, one
+    successor step per word, from the right comb to the left comb.
+
+    A step scans from the right with a stack of subtree sizes; the first
+    vertex whose child sizes step to the next weak composition is the last
+    that can, and its children and all subtrees after it restart as right combs.
+    """
+    unit = "1" + "0" * (k - 1)
+    word = unit * p + "0"
+    while True:
+        yield word
+        sizes = []  # internal sizes of the subtrees right of the scan, the nearest last
+        for index in range(len(word) - 1, -1, -1):
+            if word[index] == "1":
+                children = sizes[:-k - 1:-1]
+                del sizes[-k:]
+                if _next_composition(children):
+                    break
+                sizes.append(sum(children) + 1)
+            else:
+                sizes.append(0)
+        else:
+            return
+        word = word[:index] + "1" + "".join(unit * s + "0" for s in children + sizes[::-1])
 
 
 def gen_ternary_shapes(p: int) -> Iterator[ColoredTernaryTree]:

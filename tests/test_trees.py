@@ -1,6 +1,10 @@
 """Tree values, generators, canonical text format, validation, DOT export, README examples."""
 
+import collections
 import doctest
+import hashlib
+import itertools
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 import oracle_generators
 import oracle_paths
 from conftest import binary_trees, colored_ternary_trees, deep_binary_words
+from fussforest import trees
 from fussforest.bijection import decode, encode
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
 from fussforest.trees import (
@@ -46,7 +51,7 @@ from fussforest.trees import (
     ternary_weight,
     validate,
 )
-from fussforest.trees import _weak_compositions
+from fussforest.trees import _TABLE_WORDS, _shape_words, _weak_compositions
 
 
 def test_vertex_statistics():
@@ -208,6 +213,61 @@ def test_deep_binary_words_step_without_recursion():
     words = enumerate_binary_words(n, max_n=n)
     assert [next(words) for _ in range(3)] == [
         "10" * n + "0", "10" * (n - 2) + "11000", "10" * (n - 3) + "1100100"]
+
+
+def test_shape_words_match_the_stepwise_oracle_past_the_table_cap():
+    # Tables stop at size 9 for k=2, 6 for k=3, 5 for k=4 and k=5, so these
+    # sizes restart pieces that come from steps, not from a table.
+    for k, top in ((2, 12), (3, 8), (4, 7), (5, 6)):
+        for p in range(top + 1):
+            assert list(_shape_words(p, k)) == list(
+                oracle_generators.shape_words_stepwise(p, k)), (k, p)
+
+
+def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
+    # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
+    # host (one step per word took about 1 s).  Tables are built once, in
+    # increasing size, and the first size past the cap gives cap + 1 words.
+    pulled = {}  # size -> words taken from the call that builds its table
+    built = []
+    original = trees._shape_words
+
+    def counting(p, k, tables=None):
+        words = original(p, k, tables)
+        if tables is None:
+            return words
+        built.append(tables)
+        pulled[p] = 0
+
+        def counted():
+            for word in words:
+                pulled[p] += 1
+                yield word
+        return counted()
+
+    monkeypatch.setattr(trees, "_shape_words", counting)
+    started = time.perf_counter()
+    words = enumerate_binary_words(2000, max_n=2000)
+    collections.deque(itertools.islice(words, 300_000), maxlen=0)
+    assert time.perf_counter() - started < 1.0
+    last = sum(1 for _ in itertools.takewhile(
+        lambda s: k_catalan(s, 2) <= _TABLE_WORDS, itertools.count())) - 1
+    assert pulled == {**{s: k_catalan(s, 2) for s in range(last + 1)}, last + 1: _TABLE_WORDS + 1}
+    assert all(tables is built[0] for tables in built)
+    assert [len(table) for table in built[0]] == [k_catalan(s, 2) for s in range(last + 1)]
+
+
+@pytest.mark.parametrize("words, text, digest", [
+    (lambda: enumerate_binary_words(12), binary_word_text,
+     "484464506e149c0fa9d944eb3f526c0cdf2816a5ef5d61aa21058ac9948eeadd"),
+    (lambda: enumerate_ternary_preorders(10), ternary_preorder_text,
+     "5c9a1e6ac514a79ecd9ed5e6a951695e01cc7cec2df0dfa4cf17d13bc8a85663"),
+], ids=[BINARY, COLORED_TERNARY])
+def test_enumerated_text_keeps_its_digest(words, text, digest):
+    # The canonical text, one tree per line, as `enumerate --n 12` (binary)
+    # and `--n 10` (colored ternary) print it.
+    lines = "".join(f"{line}\n" for line in map(text, words()))
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
 
 def test_colored_forest_forms_are_tuples():

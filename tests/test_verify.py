@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import itertools
 import os
 import re
 import signal
@@ -51,6 +52,26 @@ def test_counts_checks_do_not_call_the_bijection():
                  and getattr(verify, n).__module__ == verify.__name__]
     assert {"_check_binary_generator", "_check_colored_generator",
             "_check_forest_generators"} <= seen
+
+
+def test_counts_checks_catch_a_wrong_form_and_a_lost_forest(monkeypatch):
+    # Weight 4 with one internal vertex: (~0, ~0, 0, 1) has the right
+    # absolute sum but two internal vertices, (~0, 0, 0, 3) the right
+    # internal count but color sum 3.
+    real_forms, real_forests = trees.enumerate_ternary_preorders, trees.enumerate_forest_forms
+    for wrong in ((~0, ~0, 0, 1), (~0, 0, 0, 3)):
+        def corrupt(n, p=None, max_n=None, wrong=wrong):
+            forms = list(real_forms(n, p, max_n))
+            return forms[:-1] + [wrong] if (n, p) == (4, 1) else forms
+
+        monkeypatch.setattr(trees, "enumerate_ternary_preorders", corrupt)
+        failures = verify._check_colored_generator(5).failures
+        assert [f.params for f in failures] == [{"n": 4, "p": 1, "property": "members"}]
+    monkeypatch.setattr(trees, "enumerate_forest_forms",
+                        lambda *args, **kwargs: itertools.islice(real_forests(*args, **kwargs), 1))
+    failures = verify._check_forest_generators(2, 1).failures
+    assert [(f.params["n"], f.params["family"], f.actual) for f in failures] == [
+        (2, trees.BINARY, "1"), (2, trees.COLORED_TERNARY, "1")]
 
 
 def test_failures_show_trees_as_canonical_text():
