@@ -14,8 +14,8 @@ for.
 
 ``map`` reads its input as ASCII bytes, the same from a file and from stdin:
 a parse error's offset counts bytes, and a byte that is not ASCII is a parse
-error.  It reads every line before it writes anything, so a line that does
-not parse, or parses as the other family, leaves no output.
+error.  It parses and maps every line before it writes anything, so a line
+that fails (exit 4, 5 or 6) leaves no output.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def cmd_map(args) -> int:
             raise err from None
         raise FamilyMismatchError(
             f"line {line_no + 1} parses as the opposite family; check --direction") from None
-    _emit(args, map(apply_map, forms), target, "mapped")
+    _emit(args, list(map(apply_map, forms)), target, "mapped")  # every image before any output
     return EXIT_OK
 
 

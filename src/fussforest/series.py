@@ -42,9 +42,7 @@ class TruncatedSeries:
 
     @classmethod
     def x(cls, order: int) -> TruncatedSeries:
-        if order < 1:
-            raise ValueError("x needs order >= 1")
-        return cls((0, 1) + (0,) * (order - 1))
+        return cls((0, 1, *(0,) * (order - 1))[:order + 1])  # order 0: (0,); below 0: ValueError
 
     def _coerce(self, other) -> TruncatedSeries:
         if isinstance(other, int):

@@ -222,16 +222,14 @@ def _next_composition(parts: list[int]) -> bool:
     return True
 
 
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative ints summing to total, lexicographically ascending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    composition = [0] * (parts - 1) + [total]
-    yield tuple(composition)
-    while _next_composition(composition):
-        yield tuple(composition)
+def _forests(forms: Sequence[Sequence], n: int, m: int) -> Iterator[tuple]:
+    """Every m-tuple of forms with sizes summing to n, `forms[s]` listing those
+    of size s: the sizes step through the weak compositions of n into m parts,
+    ascending, each giving a product of lists, the first component slowest."""
+    sizes, more = [0] * (m - 1) + [n], True
+    while more:
+        yield from itertools.product(*[forms[s] for s in sizes])
+        more = _next_composition(sizes)
 
 
 # The most words a table of `_shape_words` holds.  Tables are built in
@@ -242,27 +240,28 @@ def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 _TABLE_WORDS = 5000
 
 
-def _shape_words(p: int, k: int, tables: list[list[str]] | None = None) -> Iterator[str]:
+def _shape_words(p: int, k: int) -> Iterator[str]:
     """Preorder words of the complete k-ary trees with p internal vertices.
 
     Vertex by vertex in preorder, child sizes run through the weak
     compositions of size - 1 into k parts, ascending: from the right comb to
-    the left comb.  A step, in one frame, scans from the right with a stack of
+    the left comb.  So the table of size s, built smallest first, is a root
+    before each k-forest of size s - 1 that `_forests` makes of the smaller
+    tables.  A step, in one frame, scans from the right with a stack of
     subtree sizes; the first vertex whose child sizes step is the last that
     can, and its children and all subtrees after it restart as right combs.
     Until a scan next reaches left of them, those pieces run as a Cartesian
     product, the last fastest, so the longest suffix of them whose sizes have
     a table comes from `itertools.product` over the tables, and stepping
-    resumes from the last word of each.  `tables[s]` lists every word of size
-    s; without it, the call builds its own with this generator, smallest first.
+    resumes from the last word of each.
     """
-    if tables is None:
-        tables = []
-        while len(tables) < p:
-            table = list(itertools.islice(_shape_words(len(tables), k, tables), _TABLE_WORDS + 1))
-            if len(table) > _TABLE_WORDS:
-                break
-            tables.append(table)
+    tables = [["0"]]
+    while len(tables) < p:
+        forests = _forests(tables, len(tables) - 1, k)
+        table = ["1" + "".join(f) for f in itertools.islice(forests, _TABLE_WORDS + 1)]
+        if len(table) > _TABLE_WORDS:
+            break
+        tables.append(table)
     unit = "1" + "0" * (k - 1)
     word = unit * p + "0"
     yield word
@@ -292,14 +291,16 @@ def _shape_words(p: int, k: int, tables: list[list[str]] | None = None) -> Itera
 def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
     """Weight-n colored ternary preorder tuples with p internal vertices, or every p ascending.
 
-    Each shape is painted with every weak composition of the color sum
-    n - 2p, whose parts go to the vertices in preorder.
+    Each shape is painted by stepping one list of colors, one per vertex in
+    preorder, through the weak compositions of the color sum n - 2p, ascending.
     """
     for q in range(n // 2 + 1) if p is None else range(p, min(p, n // 2) + 1):
         for shape in _shape_words(q, 3):
             flips = [-1 if letter == "1" else 0 for letter in shape]  # c ^ -1 == ~c
-            for colors in _weak_compositions(n - 2 * q, 3 * q + 1):
+            colors, more = [0] * (3 * q) + [n - 2 * q], True
+            while more:
                 yield tuple(map(operator.xor, flips, colors))
+                more = _next_composition(colors)
 
 
 def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
@@ -345,10 +346,10 @@ def enumerate_forest_forms(family: str, n: int, m: int,
 
     Components are binary words or colored ternary preorder tuples; weight is
     the internal-vertex count of a binary tree and :func:`ternary_weight`
-    of a colored one.  Outer order is the weak composition of n into m
-    component weights (lexicographic ascending), inner order the
-    per-component generators, the first component's slowest.  The call lists
-    every component form of weight <= n, and forests share those forms.
+    of a colored one.  The order is that of :func:`_forests`: component
+    weights as weak compositions of n ascending, then the per-component
+    generators, the first component's slowest.  The call lists every
+    component form of weight <= n, and forests share those forms.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -357,8 +358,7 @@ def enumerate_forest_forms(family: str, n: int, m: int,
     _check_cap(n, max_n)
     forms = [list(_shape_words(s, 2) if family == BINARY else _ternary_preorders(s, None))
              for s in range(n + 1)]
-    return itertools.chain.from_iterable(
-        itertools.product(*(forms[s] for s in sizes)) for sizes in _weak_compositions(n, m))
+    return _forests(forms, n, m)
 
 
 def enumerate_forests(family: str, n: int, m: int,

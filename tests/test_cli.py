@@ -1,14 +1,21 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import binary_trees, colored_ternary_trees
 from fussforest.cli import (
     EXIT_CAP,
     EXIT_FAMILY,
@@ -19,8 +26,8 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from fussforest import trees
-from fussforest.trees import form_dot, parse_binary_word
+from fussforest import trees, verify
+from fussforest.trees import form_dot, parse_binary_word, serialize
 
 
 def run(capsys, *argv):
@@ -134,6 +141,18 @@ def test_map_huge_color_is_out_of_resources(tmp_path, capsys, color):
     code, out, err = run(capsys, "map", "--direction", "t2b", "--in", str(src))
     assert code == EXIT_RESOURCE and out == ""
     assert err.startswith("error: out of resources: OverflowError: ") and err.count("\n") == 1
+
+
+def test_map_huge_color_after_good_lines_leaves_no_output(tmp_path, capsys):
+    # Every line is mapped before any is written, so the lines before a
+    # color too large to map are not written either, to stdout or to --out.
+    src = tmp_path / "in.txt"
+    src.write_text("(1: 0 0 1)\n0\n" + "9" * 300 + "\n", encoding="ascii")
+    dst = tmp_path / "out.txt"
+    for out_flag in ([], ["--out", str(dst)]):
+        code, out, err = run(capsys, "map", "--direction", "t2b", "--in", str(src), *out_flag)
+        assert code == EXIT_RESOURCE and out == "" and err.count("\n") == 1
+        assert not dst.exists()
 
 
 _NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -430,6 +449,14 @@ def test_verify_bounds_that_check_nothing_are_usage_errors(capsys, suite, bounds
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("suite, cases", [("series", 35), ("all", 11665)])
+def test_verify_runs_at_order_zero(capsys, suite, cases):
+    # _LEAST_BOUNDS accepts order 0, and at order 0 each series is its constant term.
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--order", "0")
+    assert code == EXIT_OK
+    assert out.endswith(f"suite {suite}: PASS (cases={cases}, failures=0)\n")
+
+
 def test_verify_ignores_bounds_its_suite_does_not_read(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--n-max", "2",
                        "--m-max", "1", "--order", "-1")
@@ -452,3 +479,134 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--n-max", "2", "--m-max", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "first failure" in out and "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzzer: argv from the four subcommands, each flag valid, invalid,
+# missing or extreme, and input bytes from trees, broken trees and odd bytes.
+# Sizes stay small: enumerate runs under a cap of 8, number has n <= 40, and
+# verify has bounds <= 3 and order <= 5 (a bound may be missing only where
+# the suite does not read it).
+# ---------------------------------------------------------------------------
+
+def _often(usual, *rare):
+    """`usual` five times in six, else one of the `rare` strategies."""
+    return st.sampled_from([usual] * 5 + [st.one_of(*rare)]).flatmap(lambda pick: pick)
+
+
+_HUGE = "9" * 300
+_NOT_ASCII = st.binary(min_size=1, max_size=4).map(lambda b: b + bytes([0x80 | b[0]]))
+_ODD_LINE = st.sampled_from([_HUGE, f"({_HUGE}: 0 0 0)", f"(0: 0 {_HUGE} 0)", ""]).map(str.encode)
+
+
+@st.composite
+def _broken(draw, texts):
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    piece = draw(st.sampled_from(["", "(", ")", "L", "0", "7", ":", " ", "\t", "x", "-"]))
+    return text[:at] + piece + text[at + draw(st.integers(0, 1)):]
+
+
+@st.composite
+def _input(draw):
+    """Lines of one family's trees, now and then broken, of the other family,
+    not ASCII, with a 300-digit color, or empty."""
+    ours, theirs = draw(st.permutations([binary_trees, colored_ternary_trees]))
+    texts = ours.map(serialize)
+    line = _often(texts.map(str.encode), _broken(texts).map(str.encode),
+                  theirs.map(serialize).map(str.encode), _NOT_ASCII, _ODD_LINE)
+    return b"\n".join(draw(st.lists(line, max_size=5))) + draw(st.sampled_from([b"", b"\n"]))
+
+
+def _value(valid, *odd):
+    """A flag value as text: mostly a valid int, else an invalid or extreme one."""
+    return _often(valid, st.sampled_from(odd)).map(str)
+
+
+_NOT_AN_INT = ("x", "", "1.5", "1" + "0" * 5000)
+_OUT = _often(st.just("-"), st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"]))
+_FORMAT = _often(st.sampled_from(["sexp", "dot", "json"]), st.just("xml"))
+_FLAGS = {
+    "number": {"--k": _value(st.integers(2, 6), 1, 0, -3, 10**30, *_NOT_AN_INT),
+               "--n": _value(st.integers(0, 40), -1, *_NOT_AN_INT),
+               "--m": _value(st.integers(1, 5), 0, -2, 10**6, *_NOT_AN_INT)},
+    "enumerate": {"--family": _often(st.sampled_from([trees.BINARY, trees.COLORED_TERNARY]),
+                                     st.just("unary")),
+                  "--n": _value(st.integers(0, 10), -1, 10**9, *_NOT_AN_INT),
+                  # Binary trees take no --p, so it is mostly left out.
+                  "--p": _often(st.none(), _value(st.integers(0, 5), -1, 10**9, *_NOT_AN_INT)),
+                  "--format": _FORMAT, "--out": _OUT,
+                  "--max-n": _value(st.integers(0, 8), -1, -(10**9), *_NOT_AN_INT)},
+    "map": {"--direction": _often(st.sampled_from(["t2b", "b2t"]), st.just("sideways")),
+            "--in": _often(st.sampled_from(["-", "{tmp}/in.txt"]),
+                           st.sampled_from(["{tmp}/absent.txt", "{tmp}"])),
+            "--out": _OUT, "--format": _FORMAT},
+}
+_BOUNDS = {"--n-max": ("n_max", 3), "--m-max": ("m_max", 3), "--order": ("order", 5)}
+_LEAST = verify._LEAST_BOUNDS
+
+
+@st.composite
+def _cli_case(draw):
+    """argv, input bytes, and whether argv is a verify call whose bounds are all
+    ints at or above their least values, which must not be a usage error."""
+    command = draw(_often(st.sampled_from(["number", "enumerate", "map", "verify"]),
+                          st.sampled_from(["frobnicate", None])))
+    pairs = []
+    for flag, values in _FLAGS.get(command, {}).items():
+        value = draw(_often(values, st.none()))
+        pairs += [] if value is None else [[flag, value]]
+    bounds_met = False
+    if command == "verify":
+        suite = draw(_often(st.sampled_from(verify.SUITES), st.sampled_from(["everything", None])))
+        pairs += [] if suite is None else [["--suite", suite]]
+        reads = verify._SUITES[suite][1] if suite in verify._SUITES else _LEAST
+        bounds_met = suite in verify.SUITES
+        for flag, (key, top) in _BOUNDS.items():
+            value = _value(st.integers(_LEAST[key], top), _LEAST[key] - 1, -(10**20), *_NOT_AN_INT)
+            value = draw(value if key in reads else _often(st.none(), value))
+            if value is not None:
+                pairs.append([flag, value])
+                bounds_met &= value not in _NOT_AN_INT and int(value) >= _LEAST[key]
+        pairs += [["--json"]] if draw(st.booleans()) else []
+    junk = draw(_often(st.just([]), st.sampled_from([["--bogus"], ["extra"]])))
+    argv = [command] if command else []
+    argv += [word for pair in draw(st.permutations(pairs)) for word in pair] + junk
+    return argv, draw(_input()), bounds_met and not junk
+
+
+def _run_captured(argv, data):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", _stdin(data)):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_cli_case())
+def test_exit_codes_hold_for_any_argv_and_input(case):
+    # No traceback, and an exit code whose meaning holds: 1 only for a verify
+    # that ran and failed, 3-6 with one error line and no output, no --out
+    # file left by a map that failed, no usage error from a verify whose
+    # bounds are all in range, and the same stdout from every run that passed.
+    argv, data, bounds_met = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {trees.MAX_N_ENV: "8"}):
+        argv = [word.replace("{tmp}", tmp) for word in argv]
+        Path(tmp, "in.txt").write_bytes(data)
+        code, out, err = _run_captured(argv, data)
+        assert code in range(7)
+        if code == EXIT_VERIFY_FAILED:
+            assert argv[0] == "verify"
+            if "--json" in argv:
+                assert json.loads(out)["passed"] is False
+            else:
+                assert re.search(r"FAIL \(cases=\d+, failures=\d+\)\n\Z", out)
+        if code >= EXIT_CAP:
+            assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), (code, out[:200], err)
+        if argv[:1] == ["map"] and code != EXIT_OK:
+            assert not Path(tmp, "out.txt").exists()
+        if bounds_met:
+            assert code != EXIT_USAGE, err
+        if code == EXIT_OK:
+            assert _run_captured(argv, data)[1] == out

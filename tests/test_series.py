@@ -44,6 +44,14 @@ def test_shift_and_getitem():
     assert S([5, 6])[1] == 6
 
 
+def test_x_is_zero_at_order_zero():
+    # Mod x^1, x is the zero series; below order 0 there is no series at all.
+    assert TruncatedSeries.x(0) == TruncatedSeries((0,))
+    assert TruncatedSeries.x(2) == S([0, 1, 0])
+    with pytest.raises(ValueError):
+        TruncatedSeries.x(-1)
+
+
 def test_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
         TruncatedSeries((1.5, 2))

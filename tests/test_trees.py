@@ -51,7 +51,7 @@ from fussforest.trees import (
     ternary_weight,
     validate,
 )
-from fussforest.trees import _TABLE_WORDS, _shape_words, _weak_compositions
+from fussforest.trees import _TABLE_WORDS, _next_composition, _shape_words
 
 
 def test_vertex_statistics():
@@ -228,33 +228,45 @@ def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
     # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
     # host (one step per word took about 1 s).  Tables are built once, in
     # increasing size, and the first size past the cap gives cap + 1 words.
-    pulled = {}  # size -> words taken from the call that builds its table
+    # The table of size s >= 1 is made of the forests of size s - 1, and the
+    # table of size 0, the leaf alone, of none.
+    pulled = {}  # size -> words taken from the forests that build its table
     built = []
-    original = trees._shape_words
+    original = trees._forests
 
-    def counting(p, k, tables=None):
-        words = original(p, k, tables)
-        if tables is None:
-            return words
+    def counting(tables, n, k):
+        forests = original(tables, n, k)
         built.append(tables)
-        pulled[p] = 0
+        assert n + 1 not in pulled and n + 1 == len(tables)
+        pulled[n + 1] = 0
 
         def counted():
-            for word in words:
-                pulled[p] += 1
-                yield word
+            for forest in forests:
+                pulled[n + 1] += 1
+                yield forest
         return counted()
 
-    monkeypatch.setattr(trees, "_shape_words", counting)
+    monkeypatch.setattr(trees, "_forests", counting)
     started = time.perf_counter()
     words = enumerate_binary_words(2000, max_n=2000)
     collections.deque(itertools.islice(words, 300_000), maxlen=0)
     assert time.perf_counter() - started < 1.0
     last = sum(1 for _ in itertools.takewhile(
         lambda s: k_catalan(s, 2) <= _TABLE_WORDS, itertools.count())) - 1
-    assert pulled == {**{s: k_catalan(s, 2) for s in range(last + 1)}, last + 1: _TABLE_WORDS + 1}
+    assert pulled == {**{s: k_catalan(s, 2) for s in range(1, last + 1)},
+                      last + 1: _TABLE_WORDS + 1}
     assert all(tables is built[0] for tables in built)
     assert [len(table) for table in built[0]] == [k_catalan(s, 2) for s in range(last + 1)]
+
+
+def _every_forest(family):
+    # Every forest `verify` enumerates (n <= 8, m <= 4), m outer and n inner.
+    return itertools.chain.from_iterable(
+        enumerate_forest_forms(family, n, m) for m in range(1, 5) for n in range(9))
+
+
+def _forest_text(text):
+    return lambda forest: ";".join(map(text, forest))
 
 
 @pytest.mark.parametrize("words, text, digest", [
@@ -262,10 +274,16 @@ def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
      "484464506e149c0fa9d944eb3f526c0cdf2816a5ef5d61aa21058ac9948eeadd"),
     (lambda: enumerate_ternary_preorders(10), ternary_preorder_text,
      "5c9a1e6ac514a79ecd9ed5e6a951695e01cc7cec2df0dfa4cf17d13bc8a85663"),
-], ids=[BINARY, COLORED_TERNARY])
+    (lambda: _every_forest(BINARY), _forest_text(binary_word_text),
+     "1077e8c3b5552427b02d552d96c2b1f200e97de06100858270d4afddba7182ab"),
+    (lambda: _every_forest(COLORED_TERNARY), _forest_text(ternary_preorder_text),
+     "75e42aa58f573b4808327a1e0d16ee757fe59900669daf1af7c6a74f8bdd7ec5"),
+], ids=[BINARY, COLORED_TERNARY, f"{BINARY}-forests", f"{COLORED_TERNARY}-forests"])
 def test_enumerated_text_keeps_its_digest(words, text, digest):
     # The canonical text, one tree per line, as `enumerate --n 12` (binary)
-    # and `--n 10` (colored ternary) print it.
+    # and `--n 10` (colored ternary) print it; and one forest per line, its
+    # components' text joined by ';', for every forest with n <= 8 and
+    # m <= 4 (60840 lines per family).
     lines = "".join(f"{line}\n" for line in map(text, words()))
     assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
@@ -280,10 +298,15 @@ def test_colored_forest_forms_are_tuples():
 
 
 def test_weak_compositions_match_the_recursive_oracle():
+    # The steps of one list, from the first composition until the stepper
+    # stops, as the generators take them.
     for total in range(9):
-        for parts in range(8):
-            assert list(_weak_compositions(total, parts)) == list(
-                oracle_generators.weak_compositions(total, parts)), (total, parts)
+        for parts in range(1, 8):
+            composition = [0] * (parts - 1) + [total]
+            steps = [tuple(composition)]
+            while _next_composition(composition):
+                steps.append(tuple(composition))
+            assert steps == list(oracle_generators.weak_compositions(total, parts)), (total, parts)
 
 
 def test_colors_of_a_large_colored_tree_take_no_frame_per_vertex():
