@@ -3,30 +3,36 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
 cap exceeded, 4 parse error (message carries the byte offset), 5 input file
 family mismatch, 6 out of resources (Python's recursion limit, memory or int
-sizes, as for a color of 2**62 or more, a full disk or quota, or a verify
-worker that died without sending its results).
+sizes, as for a color of 2**62 or more, a full disk or quota, or a worker,
+of `verify` or `map`, that died without sending its results).
 Stdout is deterministic for identical invocations; counts and timing go to
-stderr.  ``verify`` runs its checks in forked workers, one per usable CPU,
-and its output is the same for any number of them.  When the reader of
-stdout goes away early (as in ``fussforest enumerate ... | head -1``), the
-command stops quietly with exit 0: what was written is all the reader asked
-for.
+stderr.  ``verify`` runs its checks, and ``map`` its blocks of lines, in
+forked workers, one per usable CPU, and their output is the same for any
+number of them.  When the reader of stdout goes away early (as in
+``fussforest enumerate ... | head -1``), the command stops quietly with
+exit 0: what was written is all the reader asked for.
 
 ``map`` reads its input as ASCII bytes, the same from a file and from stdin:
 a parse error's offset counts bytes, and a byte that is not ASCII is a parse
-error.  It parses and maps every line before it writes anything, so a line
-that fails (exit 4, 5 or 6) leaves no output.
+error.  It cuts the input at line ends into blocks of about equal size, at
+most one per usable CPU and none much under ``_MIN_BLOCK_BYTES``, and each
+worker parses, maps and renders its block.  It writes only once every block
+has succeeded, so a line that fails (exit 4, 5 or 6) leaves no output, and
+the error is the one a single pass would meet first: any line that does not
+parse before any that does not map.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import json
 import os
 import sys
+from functools import partial
 
-from . import trees, verify
+from . import trees, verify, workers
 # phi and phi_inverse go unused here; perfbench/spans.py wraps them under these names.
 from .bijection import decode, encode, phi, phi_inverse  # noqa: F401
 from .exact import forest_catalan, k_catalan
@@ -105,28 +111,38 @@ def cmd_number(args) -> int:
     return EXIT_OK
 
 
-def _write(stream, forms, family: str, fmt: str) -> int:
-    """Write preorder forms of one family in the given format; return how many."""
+def _render(forms, family: str, fmt: str, first: int = 0):
+    """Each form's piece of output in the given format: its text line, its
+    digraph (numbered from `first`), or its text as an item of a JSON array."""
     text = trees.binary_word_text if family == BINARY else trees.ternary_preorder_text
+    if fmt == "dot":
+        return map(trees.form_dot, forms, itertools.count(first))
     if fmt == "json":
-        texts = [text(form) for form in forms]
-        stream.write(json.dumps(texts) + "\n")
-        return len(texts)
+        return map(text, forms)
+    return (text(form) + "\n" for form in forms)
+
+
+def _write(stream, pieces, fmt: str) -> int:
+    """Write the pieces `_render` made, JSON items as one array; return how many."""
+    if fmt == "json":
+        pieces = list(pieces)
+        stream.write(json.dumps(pieces) + "\n")
+        return len(pieces)
     count = 0
-    for form in forms:
-        stream.write(trees.form_dot(form, count) if fmt == "dot" else text(form) + "\n")
+    for piece in pieces:
+        stream.write(piece)
         count += 1
     return count
 
 
-def _emit(args, forms, family: str, verb: str) -> None:
-    """Write forms to --out (or stdout) in --format; report the count on stderr."""
+def _emit(args, pieces, verb: str) -> None:
+    """Write rendered trees to --out (or stdout); report the count on stderr."""
     if args.out == "-":
-        count = _write(sys.stdout, forms, family, args.format)
+        count = _write(sys.stdout, pieces, args.format)
         sys.stdout.flush()  # a full stdout fails here, as a full --out file does on close
     else:
         with open(args.out, "w", encoding="ascii") as stream:
-            count = _write(stream, forms, family, args.format)
+            count = _write(stream, pieces, args.format)
     print(f"{verb} {count} tree(s)", file=sys.stderr)
 
 
@@ -137,8 +153,47 @@ def cmd_enumerate(args) -> int:
         forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
     else:
         forms = trees.enumerate_binary_words(args.n, max_n=args.max_n)
-    _emit(args, forms, args.family, "enumerated")
+    _emit(args, _render(forms, args.family, args.format), "enumerated")
     return EXIT_OK
+
+
+# The least size, in bytes, of a block of `map`'s input: an input of n bytes
+# is cut into at most n // _MIN_BLOCK_BYTES blocks.  On a 2-CPU x86-64 host
+# with Python 3.11, forking a worker and pickling its output back cost about
+# 5 ms in a process of 30 MB, while parsing, mapping and rendering cost about
+# 0.4 us a byte, so a block of 16 KiB (about 7 ms of work) is already worth
+# a worker, and an input of a few lines never forks.
+_MIN_BLOCK_BYTES = 1 << 14
+
+
+def _line_blocks(text: str, count: int) -> list[tuple[int, int]]:
+    """(start, end) of at most `count` contiguous blocks of `text` of about
+    equal length, each made of whole lines."""
+    cuts = [0]
+    for b in range(1, count):
+        cut = text.find("\n", len(text) * b // count) + 1
+        if cuts[-1] < cut < len(text):
+            cuts.append(cut)
+    cuts.append(len(text))
+    return list(zip(cuts, cuts[1:]))
+
+
+def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list | Exception:
+    """Parse, map and render the lines of text[start:end], one block of `map`.
+
+    A ParseError is raised with its offset in the whole text.  An error in
+    mapping or rendering is returned, and `cmd_map` raises it once no block
+    has a line that does not parse, so that the first bad line wins in the
+    order a single pass would meet it: every parse error before any map error.
+    """
+    try:
+        forms = trees.parse_forest_forms(text[start:end], source)
+    except ParseError as err:
+        raise ParseError(start + err.offset, err.expected, err.found) from None
+    try:
+        return list(render(map(apply_map, forms), first=text.count("\n", 0, start)))
+    except Exception as err:
+        return err
 
 
 def cmd_map(args) -> int:
@@ -155,8 +210,12 @@ def cmd_map(args) -> int:
     # count bytes, and a byte that is not ASCII becomes a character no tree
     # text holds, so it is a parse error.
     text = text.decode("ascii", "surrogateescape")
+    render = partial(_render, family=target, fmt=args.format)
+    count = min(workers.usable_cpus(), len(text) // _MIN_BLOCK_BYTES) or 1
+    units = [partial(_map_block, text, start, end, source, apply_map, render)
+             for start, end in _line_blocks(text, count)]
     try:
-        forms = trees.parse_forest_forms(text, source)
+        blocks = workers.run_units(units, "map")
     except ParseError as err:
         line_no = text.count("\n", 0, err.offset)
         parse_target = trees.parse_binary_word if target == BINARY else trees.parse_ternary_preorder
@@ -166,7 +225,10 @@ def cmd_map(args) -> int:
             raise err from None
         raise FamilyMismatchError(
             f"line {line_no + 1} parses as the opposite family; check --direction") from None
-    _emit(args, list(map(apply_map, forms)), target, "mapped")  # every image before any output
+    for block in blocks:  # every image before any output
+        if isinstance(block, Exception):
+            raise block
+    _emit(args, itertools.chain.from_iterable(blocks), "mapped")
     return EXIT_OK
 
 
@@ -208,7 +270,7 @@ def main(argv=None) -> int:
     except FamilyMismatchError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAMILY
-    except (RecursionError, MemoryError, OverflowError, verify.WorkerError) as err:
+    except (RecursionError, MemoryError, OverflowError, workers.WorkerError) as err:
         print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

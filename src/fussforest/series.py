@@ -38,7 +38,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: int, order: int) -> TruncatedSeries:
-        return cls((value,) + (0,) * order)
+        return cls((value, *(0,) * order)[:order + 1])  # below order 0: ValueError
 
     @classmethod
     def x(cls, order: int) -> TruncatedSeries:

@@ -466,6 +466,9 @@ class ParseError(ValueError):
         self.found = found
         super().__init__(f"offset {offset}: expected {expected}, found {found}")
 
+    def __reduce__(self):  # so that the error a `map` worker raised loads in the caller
+        return type(self), (self.offset, self.expected, self.found)
+
 
 def _error_at(text: str, offset: int, expected: str) -> ParseError:
     """The error at `offset`; a byte that was not ASCII, which the
@@ -528,6 +531,14 @@ _BLANKS = str.maketrans("", "", " \t")
 _BINARY_LETTERS = str.maketrans({"(": "1", "L": "0", ")": None})
 _NOT_BLANK = re.compile(r"[^ \t]")
 
+# Both parsers run one scan over their tokens with `need`, the subtrees the
+# innermost open vertex (or, outside every vertex, the text) still needs,
+# and a stack of what each enclosing vertex still needs after the one open
+# inside it.  An opener takes one from `need`, pushes the rest and opens a
+# vertex that needs its arity; a leaf takes one; ')' is due exactly when
+# `need` is 0 with a vertex open, and pops.  The text is one tree when
+# `need` and the stack both end empty.
+
 
 def parse_binary_word(text: str) -> str:
     """Parse one canonical binary tree to its preorder word.
@@ -536,28 +547,23 @@ def parse_binary_word(text: str) -> str:
     character, so the scan runs over the text without them.
     """
     compact = text.translate(_BLANKS)
-    pending = []  # per open vertex: subtrees still to read before its ')'
-    done = False
+    need = 1
+    above = []
     for index, ch in enumerate(compact):
-        if done:
-            raise _binary_error(text, index, "end of input")
-        if pending and not pending[-1]:
-            if ch != ")":
-                raise _binary_error(text, index, "')'")
-            pending.pop()
-        elif ch == "(":
-            pending.append(2)
-            continue
-        elif ch != "L":
-            raise _binary_error(text, index, "'L' or '('")
-        # A subtree ended here.
-        if pending:
-            pending[-1] -= 1
+        if need:
+            if ch == "L":
+                need -= 1
+            elif ch == "(":
+                above.append(need - 1)
+                need = 2
+            else:
+                raise _binary_error(text, index, "'L' or '('")
+        elif ch == ")" and above:
+            need = above.pop()
         else:
-            done = True
-    if not done:
-        expected = "')'" if pending and not pending[-1] else "'L' or '('"
-        raise ParseError(len(text), expected, "end of input")
+            raise _binary_error(text, index, "')'" if above else "end of input")
+    if need or above:
+        raise ParseError(len(text), "'L' or '('" if need else "')'", "end of input")
     return compact.translate(_BINARY_LETTERS)
 
 
@@ -567,53 +573,47 @@ def _binary_error(text: str, index: int, expected: str) -> ParseError:
     return _error_at(text, token.start(), expected)
 
 
-# One token after optional blanks: '(' with the color and ':' that must follow
-# it (either may be missing), a leaf color, ')', or any other character.
-_TERNARY_TOKEN = re.compile(r"[ \t]*(?:(\()[ \t]*([0-9]*)(:?)|([0-9]+)|(\))|[^ \t])")
+# One token, which starts at the next character that is not a blank: '(' with
+# the blanks, color and ':' that must follow it (any of them may be missing),
+# a leaf color, or any other one character.
+_TERNARY_TOKEN = re.compile(r"\([ \t]*[0-9]*:?|[0-9]+|[^ \t]")
+_DIGITS = "0123456789"
 
 
 def parse_ternary_preorder(text: str) -> tuple[int, ...]:
     """Parse one canonical colored ternary tree to its preorder tuple."""
     preorder = []
-    pending = []  # per open vertex: subtrees still to read before its ')'
-    done = False
+    need = 1
+    above = []
     try:
-        for index, (opener, color, colon, digits, closer) in enumerate(_TERNARY_TOKEN.findall(text)):
-            if done:
-                raise _ternary_error(text, index, "end of input")
-            if pending and not pending[-1]:
-                if not closer:
-                    raise _ternary_error(text, index, "')'")
-                pending.pop()
-            elif digits:
-                preorder.append(int(digits))
-            elif color and colon:
-                preorder.append(~int(color))
-                pending.append(3)
-                continue
-            elif opener:
-                token = _ternary_token(text, index)
-                if color:
-                    raise _error_at(text, token.end(2), "':' after the color")
-                raise _error_at(text, token.start(2), "an unsigned decimal color")
-            else:
+        for index, token in enumerate(_TERNARY_TOKEN.findall(text)):
+            if not need:
+                if token != ")" or not above:
+                    raise _ternary_error(text, index, "')'" if above else "end of input")
+                need = above.pop()
+            elif token[0] in _DIGITS:
+                preorder.append(int(token))
+                need -= 1
+            elif token[0] != "(":
                 raise _ternary_error(text, index, "a color digit or '('")
-            # A subtree ended here.
-            if pending:
-                pending[-1] -= 1
+            elif token[-1] == ":" and token[-2] in _DIGITS:
+                preorder.append(~int(token[1:-1]))  # int() skips the blanks after '('
+                above.append(need - 1)
+                need = 3
             else:
-                done = True
+                # The color, or the ':' after it, is missing where the token ends.
+                offset = _ternary_token(text, index).end() - (token[-1] == ":")
+                raise _error_at(text, offset, "':' after the color" if token[-1] in _DIGITS
+                                else "an unsigned decimal color")
     except ParseError:
         raise
     except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
-        token = _ternary_token(text, index)
-        group = 2 if token.group(1) else 4
-        raise ParseError(token.start(group),
+        digits = token.lstrip("( \t").rstrip(":")
+        raise ParseError(_ternary_token(text, index).start() + token.index(digits),
                          f"a color of at most {sys.get_int_max_str_digits()} digits",
-                         f"{len(token.group(group))} digits") from None
-    if not done:
-        expected = "')'" if pending and not pending[-1] else "a color digit or '('"
-        raise ParseError(len(text), expected, "end of input")
+                         f"{len(digits)} digits") from None
+    if need or above:
+        raise ParseError(len(text), "a color digit or '('" if need else "')'", "end of input")
     return tuple(preorder)
 
 
@@ -623,8 +623,7 @@ def _ternary_token(text: str, index: int) -> re.Match:
 
 
 def _ternary_error(text: str, index: int, expected: str) -> ParseError:
-    token = _ternary_token(text, index)
-    return _error_at(text, token.end() - len(token.group().lstrip(" \t")), expected)
+    return _error_at(text, _ternary_token(text, index).start(), expected)
 
 
 def parse_binary(text: str) -> BinaryTree:

@@ -18,7 +18,6 @@ import collections
 import itertools
 import json
 import operator
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -26,6 +25,7 @@ from functools import partial
 from . import bijection, series, trees
 from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
                     colored_ternary_count, forest_catalan, identity_side, k_catalan)
+from .workers import WorkerError, run_units  # noqa: F401  (run_suite raises WorkerError)
 
 
 @dataclass(frozen=True)
@@ -376,114 +376,19 @@ def _counts_suite(n_max: int, m_max: int) -> list:
 # Running the checks
 # ---------------------------------------------------------------------------
 
-class WorkerError(RuntimeError):
-    """A worker could not be started, or ended without sending its results."""
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
-
-
-def _run_share(units: list) -> tuple[list[CheckResult], Exception | None]:
-    """Run units in order until one raises: their results, timed, and that exception."""
-    results = []
-    try:
-        for unit in units:
-            started = time.perf_counter()
-            result = unit()
-            result.seconds = time.perf_counter() - started
-            results.append(result)
-    except Exception as err:
-        return results, err
-    return results, None
-
-
-def _fork(units: list) -> tuple[int, int]:
-    """Start a worker that runs the units and pickles what `_run_share` gives
-    back into a pipe; return its pid and the pipe's read end."""
-    import pickle
-
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as err:
-        os.close(read)
-        os.close(write)
-        raise WorkerError(f"cannot start a verify worker: {err}") from None
-    if pid == 0:
-        try:
-            os.close(read)
-            results, error = _run_share(units)
-            try:
-                data = pickle.dumps((results, error))
-                pickle.loads(data)  # some exceptions pickle but do not load
-            except Exception:
-                data = pickle.dumps((results, WorkerError(f"{type(error).__name__}: {error}")))
-            with open(write, "wb") as stream:
-                stream.write(data)
-        finally:
-            os._exit(0)  # never back into the caller's stack, its buffers or its atexit hooks
-    os.close(write)
-    return pid, read
-
-
-def _receive(pid: int, read: int) -> tuple[list[CheckResult], Exception | None]:
-    """Drain a worker's pipe, reap the worker, and return what it sent."""
-    import pickle
-
-    with open(read, "rb") as stream:
-        data = stream.read()
-    status = os.waitpid(pid, 0)[1]
-    try:
-        return pickle.loads(data)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
-        return [], WorkerError(f"verify worker {pid} {how} before it sent its results")
-
-
-def _run_units(units: list) -> list[CheckResult]:
-    """Run zero-argument units that each return a CheckResult; results in unit order.
-
-    With W = min(units, usable CPUs), W - 1 forked workers and this process
-    share the units: process w runs units w, w + W, ..., so W = 1 is the
-    same loop with no fork.  W is 1 without os.fork, and while other threads
-    run, since a fork copies the locks they may hold.  The exception of the
-    lowest-numbered failing unit is raised here with its own type.
-    """
-    import threading
-
-    workers = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = min(len(units), _usable_cpus())
-    children = []
-    try:
-        for w in range(1, workers):
-            children.append(_fork(units[w::workers]))
-        mine = _run_share(units[::workers])
-    finally:
-        # On every way out, so that no pipe stays open and no worker unreaped.
-        received = [_receive(pid, read) for pid, read in children]
-    ordered = [None] * len(units)
-    failed = []
-    for w, (results, error) in enumerate([mine, *received]):
-        for i, result in enumerate(results):
-            ordered[w + i * workers] = result
-        if error is not None:
-            failed.append((w + len(results) * workers, error))
-    if failed:
-        raise min(failed, key=lambda pair: pair[0])[1]
-    return ordered
+def _timed(check) -> CheckResult:
+    """Run one check and keep its wall time, taken in the process that ran it."""
+    started = time.perf_counter()
+    result = check()
+    result.seconds = time.perf_counter() - started
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-# Each suite's checks, as units for `_run_units`, and its acceptance bounds,
+# Each suite's checks, as units for `run_units`, and its acceptance bounds,
 # in the order `all` reports them.
 _SUITES = {
     "identities": (_identities_suite, {"n_max": 60, "m_max": 8}),
@@ -516,6 +421,6 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
         for key, value in bounds.items():
             if value < _LEAST_BOUNDS[key]:
                 raise ValueError(f"suite {name} needs {key} >= {_LEAST_BOUNDS[key]}, got {value}")
-        units += build(**bounds)
-    return VerificationReport(suite, _run_units(units),
+        units += [partial(_timed, check) for check in build(**bounds)]
+    return VerificationReport(suite, run_units(units, "verify"),
                               elapsed_seconds=time.perf_counter() - started)

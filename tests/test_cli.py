@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -26,7 +27,8 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from fussforest import trees, verify
+from fussforest import cli, trees, verify
+from fussforest.bijection import encode
 from fussforest.trees import form_dot, parse_binary_word, serialize
 
 
@@ -383,6 +385,116 @@ def test_map_output_closes_over_enumerate_output(tmp_path, capsys):
         assert code == EXIT_OK
         assert run(capsys, "map", "--direction", direction, "--in", str(src),
                    "--out", str(tmp_path / f"{direction}.out"))[0] == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# map runs its blocks of lines in forked workers, one per usable CPU
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+def _weight_8_text(direction: str) -> str:
+    """Every tree of weight 8 in the input family of `direction`, one a line."""
+    if direction == "t2b":
+        forms, text = trees.enumerate_ternary_preorders(8), trees.ternary_preorder_text
+    else:
+        forms, text = trees.enumerate_binary_words(8), trees.binary_word_text
+    return "".join(text(form) + "\n" for form in forms)
+
+
+def _map_at(capsys, monkeypatch, cpus, src, direction, *flags):
+    """Run map with `cpus` usable CPUs; (exit code, stdout, stderr, forks made)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    code, out, err = run(capsys, "map", "--direction", direction, "--in", str(src), *flags)
+    monkeypatch.setattr(os, "fork", real_fork)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+    return code, out, err, len(forks)
+
+
+@needs_fork
+@pytest.mark.parametrize("fmt", ["sexp", "dot", "json"])
+@pytest.mark.parametrize("direction", ["t2b", "b2t"])
+def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, capsys, monkeypatch,
+                                                       direction, fmt):
+    text = _weight_8_text(direction)
+    assert len(text) > 2 * cli._MIN_BLOCK_BYTES  # two blocks at two CPUs
+    src = tmp_path / "in.txt"
+    src.write_text(text, encoding="ascii")
+    outputs = []
+    for cpus in (1, 2):
+        dst = tmp_path / f"out_{cpus}.txt"
+        code, out, err, forks = _map_at(capsys, monkeypatch, cpus, src, direction, "--format", fmt)
+        assert (code, forks) == (EXIT_OK, cpus - 1)
+        assert _map_at(capsys, monkeypatch, cpus, src, direction, "--format", fmt,
+                       "--out", str(dst)) == (EXIT_OK, "", err, cpus - 1)
+        assert dst.read_text(encoding="ascii") == out
+        outputs.append((out, err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1] == f"mapped {text.count(chr(10))} tree(s)\n"
+
+
+# Lines that fail in the last block, after every tree of weight 8, and the
+# offset in that line of a parse error.  A bad line is reported at its offset
+# in the whole input, and a line that fails to parse wins over a color too
+# large to map in an earlier block, as it does in one pass over the lines.
+_LAST_BLOCK_FAILURES = [
+    ("b2t", "", "(L x)\n", 3, EXIT_PARSE, "error: offset {at}: expected 'L' or '(', found 'x'\n"),
+    ("t2b", "", "(1: 0 0)\n", 7, EXIT_PARSE,
+     "error: offset {at}: expected a color digit or '(', found ')'\n"),
+    ("b2t", "", "(0: 0 0 0)\n", 0, EXIT_FAMILY,
+     "error: line {line} parses as the opposite family; check --direction\n"),
+    ("t2b", "", "9" * 300 + "\n", 0, EXIT_RESOURCE, "error: out of resources: OverflowError: "),
+    ("t2b", "9" * 300 + "\n", "(1: 0 0)\n", 7, EXIT_PARSE,
+     "error: offset {at}: expected a color digit or '(', found ')'\n"),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("direction, head, tail, offset, exit_code, message", _LAST_BLOCK_FAILURES,
+                         ids=["parse", "parse-ternary", "family", "huge-color", "parse-first"])
+def test_map_failure_in_the_last_block(tmp_path, capsys, monkeypatch, cpus,
+                                       direction, head, tail, offset, exit_code, message):
+    body = head + _weight_8_text(direction)
+    src = tmp_path / "in.txt"
+    src.write_text(body + tail, encoding="ascii")
+    dst = tmp_path / "out.txt"
+    message = message.format(at=len(body) + offset, line=body.count("\n") + 1)
+    for flags in ([], ["--out", str(dst)]):
+        code, out, err, forks = _map_at(capsys, monkeypatch, cpus, src, direction, *flags)
+        assert (code, out, forks) == (exit_code, "", cpus - 1)
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not dst.exists()
+
+
+@needs_fork
+def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
+    caller = os.getpid()
+
+    def encode_or_die(form):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return encode(form)
+
+    monkeypatch.setattr(cli, "encode", encode_or_die)
+    src = tmp_path / "in.txt"
+    src.write_text(_weight_8_text("t2b"), encoding="ascii")
+    dst = tmp_path / "out.txt"
+    code, out, err, forks = _map_at(capsys, monkeypatch, 2, src, "t2b", "--out", str(dst))
+    assert (code, out, forks) == (EXIT_RESOURCE, "", 1)
+    assert re.fullmatch(r"error: out of resources: WorkerError: map worker \d+ was killed by "
+                        rf"signal {int(signal.SIGKILL)} before it sent its results\n", err)
+    assert not dst.exists()
 
 
 def test_verify_small_suite_passes(capsys):

@@ -52,6 +52,13 @@ def test_x_is_zero_at_order_zero():
         TruncatedSeries.x(-1)
 
 
+@pytest.mark.parametrize("order", [-1, -3])
+def test_constant_refuses_a_negative_order(order):
+    assert TruncatedSeries.constant(5, 0) == TruncatedSeries((5,))
+    with pytest.raises(ValueError):
+        TruncatedSeries.constant(5, order)
+
+
 def test_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
         TruncatedSeries((1.5, 2))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_generators
+import oracle_parsers
 import oracle_paths
 from conftest import binary_trees, colored_ternary_trees, deep_binary_words
 from fussforest import trees
@@ -580,6 +581,38 @@ def test_parsers_match_the_recursive_oracle(text):
     # On ASCII text; the oracle also takes non-ASCII digits (str.isdigit).
     assert _outcome(parse_binary, text) == _outcome(oracle_paths.parse_binary, text)
     assert _outcome(parse_ternary, text) == _outcome(oracle_paths.parse_ternary, text)
+
+
+# Pieces for the flat-parser oracle: blanks, an opener with a blank, without
+# its '(' or without its color, a byte that was not ASCII as "surrogateescape"
+# decodes it, and a color one digit past the int-to-str limit.
+_ORACLE_PIECES = st.sampled_from(
+    [" ", "\t", "( 3:", "3:", "(:", "\udcc3", "9" * 4301, "(", ")", "L", "0", ":"])
+
+
+@st.composite
+def _mutated_texts(draw) -> str:
+    text = serialize(draw(binary_trees | colored_ternary_trees))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(("cut", "insert", "delete", "replace")))
+        piece = draw(_ORACLE_PIECES)
+        if action == "cut":
+            text = text[:pos]
+        elif action == "insert":
+            text = text[:pos] + piece + text[pos:]
+        else:
+            text = text[:pos] + ("" if action == "delete" else piece) + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=200)
+@given(_mutated_texts())
+def test_parsers_match_the_flat_oracle(text):
+    # The same form, or a ParseError with the same offset, expectation and find.
+    assert _outcome(parse_binary_word, text) == _outcome(oracle_parsers.parse_binary_word, text)
+    assert _outcome(parse_ternary_preorder, text) == _outcome(
+        oracle_parsers.parse_ternary_preorder, text)
 
 
 @pytest.mark.parametrize("text", ["(L (((L (L L)) L) (L ((L L) L))))", "(1: 2 0 (10: 0 (0: 0 0 0) 0))"])
