@@ -1,9 +1,14 @@
 """Verification sweeps: every library claim re-checked against an independent route.
 
 Each check compares a closed form, a generator, a bijection image, or a
-series coefficient against its counterpart over a swept parameter box and
-reports per-case failures.  Default bounds are the acceptance bounds, so
-running the `all` suite is the full acceptance sweep.
+series coefficient against its counterpart over a swept parameter box.  A
+check is a case generator: called with its bounds, it yields each case as
+`(params, expected, *actual)` and knows neither its name nor its bounds.  A
+suite is a list of `(name, cases, bounds)` rows, so each check is named and
+bounded once, clamps included; `_run_check` turns a row into a
+`CheckResult` with its per-case failures.  A new check is one generator
+plus one row.  Default bounds are the acceptance bounds, so running the
+`all` suite is the full acceptance sweep.
 
 The checks share nothing, so `run_suite` runs them in forked workers, one
 per usable CPU, and puts their results back in report order.  Reports
@@ -121,44 +126,37 @@ _IDENTITY_CHECKS = (
 )
 
 
-def _check_identity(name: str, identity: Identity, witness, n_max: int, m_max: int) -> CheckResult:
-    """One identity's RHS against its LHS (and its witness) for every n, and
-    every m unless the identity is single-component."""
-    sweeps_m = identity not in SINGLE_COMPONENT
-    bounds = {"n_max": n_max, "m_max": m_max} if sweeps_m else {"n_max": n_max}
-    result = CheckResult(name, bounds)
+def _check_identity(identity: Identity, witness, n_max: int, m_max: int = 1):
+    """One identity's RHS against its LHS (and its witness) for every n and
+    m; a single-component identity runs at m_max=1 and labels its cases by n."""
     for n in range(n_max + 1):
-        for m in range(1, m_max + 1) if sweeps_m else (1,):
-            params = {"n": n, "m": m} if sweeps_m else {"n": n}
+        for m in range(1, m_max + 1):
             lhs = identity_side(identity, Side.LHS, n, m)
             rhs = identity_side(identity, Side.RHS, n, m)
-            result.case(params, *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
-    return result
+            yield ({"n": n} if identity in SINGLE_COMPONENT else {"n": n, "m": m},
+                   *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
 
 
-def _check_forest_single_component(n_max: int) -> CheckResult:
+def _check_forest_single_component(n_max: int):
     # At m=1 each by-parts term, computed from the one before it, must equal
     # the single-tree identity's term C3(p) * binom(n+p, 3p) written out.
-    result = CheckResult("ternary_forest_m1_termwise", {"n_max": n_max})
     for n in range(n_max + 1):
         for p, term in enumerate(by_parts_terms(3, n, 1)):
-            result.case({"n": n, "p": p}, k_catalan(p, 3) * binomial(n + p, 3 * p), term)
-    return result
+            yield {"n": n, "p": p}, k_catalan(p, 3) * binomial(n + p, 3 * p), term
 
 
-def _check_colored_count_sum(n_max: int) -> CheckResult:
-    result = CheckResult("colored_count_sum", {"n_max": n_max})
+def _check_colored_count_sum(n_max: int):
     for n in range(n_max + 1):
-        total = sum(colored_ternary_count(n, p) for p in range(n // 2 + 1))
-        result.case({"n": n}, k_catalan(n, 2), total)
-    return result
+        yield {"n": n}, k_catalan(n, 2), sum(colored_ternary_count(n, p) for p in range(n // 2 + 1))
 
 
 def _identities_suite(n_max: int, m_max: int) -> list:
     return [
-        *(partial(_check_identity, *row, n_max, m_max) for row in _IDENTITY_CHECKS),
-        partial(_check_forest_single_component, n_max),
-        partial(_check_colored_count_sum, n_max),
+        *((name, partial(_check_identity, identity, witness),
+           {"n_max": n_max} if identity in SINGLE_COMPONENT else {"n_max": n_max, "m_max": m_max})
+          for name, identity, witness in _IDENTITY_CHECKS),
+        ("ternary_forest_m1_termwise", _check_forest_single_component, {"n_max": n_max}),
+        ("colored_count_sum", _check_colored_count_sum, {"n_max": n_max}),
     ]
 
 
@@ -166,67 +164,51 @@ def _identities_suite(n_max: int, m_max: int) -> list:
 # bijection suite
 # ---------------------------------------------------------------------------
 
-def _check_tree_bijection(n_max: int) -> CheckResult:
+def _check_tree_bijection(n_max: int):
     # The public maps on tree objects, so that the conversions around
     # encode and decode are checked too; the forest check runs on forms.
-    result = CheckResult("tree_bijection", {"n_max": n_max})
     for n in range(n_max + 1):
         binary_words = set(trees.enumerate_binary_words(n, max_n=n_max))
         domain, images = set(), []
         for t in trees.enumerate_colored_ternary(n, max_n=n_max):
             b = bijection.phi(t)
             word = b.word
-            result.case(
-                lambda: {"n": n, "tree": trees.ternary_preorder_text(t.preorder)},
-                True,
-                word.count("1") == n,
-                word in binary_words,
-                bijection.phi_inverse(b) == t,
-            )
+            yield (lambda: {"n": n, "tree": trees.ternary_preorder_text(t.preorder)}, True,
+                   word.count("1") == n, word in binary_words, bijection.phi_inverse(b) == t)
             domain.add(t.preorder)
             images.append(word)
         for b in trees.enumerate_binary(n, max_n=n_max):
             t = bijection.phi_inverse(b)
-            result.case(
-                lambda: {"n": n, "tree": trees.serialize(b)},
-                True,
-                t.preorder in domain,
-                bijection.phi(t) == b,
-            )
+            yield (lambda: {"n": n, "tree": trees.serialize(b)}, True,
+                   t.preorder in domain, bijection.phi(t) == b)
         # Injective onto: image multiset has no repeats and covers the codomain.
-        result.case({"n": n, "property": "image_size"}, k_catalan(n, 2), len(images))
-        result.case({"n": n, "property": "image_distinct"}, len(images), len(set(images)))
-        result.case({"n": n, "property": "image_onto"}, True, set(images) == binary_words)
-    return result
+        yield {"n": n, "property": "image_size"}, k_catalan(n, 2), len(images)
+        yield {"n": n, "property": "image_distinct"}, len(images), len(set(images))
+        yield {"n": n, "property": "image_onto"}, True, set(images) == binary_words
 
 
-def _check_forest_bijection(n_max: int, m_max: int) -> CheckResult:
-    result = CheckResult("forest_bijection", {"n_max": n_max, "m_max": m_max})
+def _check_forest_bijection(n_max: int, m_max: int):
     for m in range(1, m_max + 1):
         for n in range(n_max + 1):
             colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
-            result.case({"n": n, "m": m, "property": "colored_count"},
-                        identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m), len(colored))
+            yield ({"n": n, "m": m, "property": "colored_count"},
+                   identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m), len(colored))
             images = []
             for forest in colored:
                 image = tuple(map(bijection.encode, forest))
-                result.case(lambda: {"n": n, "m": m, "forest": _text(forest)},
-                            forest, tuple(map(bijection.decode, image)))
+                yield (lambda: {"n": n, "m": m, "forest": _text(forest)},
+                       forest, tuple(map(bijection.decode, image)))
                 images.append(image)
             binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m, max_n=n_max))
-            result.case({"n": n, "m": m, "property": "binary_count"},
-                        forest_catalan(n, 2, m), len(binary))
-            result.case({"n": n, "m": m, "property": "image_distinct"},
-                        len(images), len(set(images)))
-            result.case({"n": n, "m": m, "property": "image_onto"},
-                        True, set(images) == binary)
-    return result
+            yield {"n": n, "m": m, "property": "binary_count"}, forest_catalan(n, 2, m), len(binary)
+            yield {"n": n, "m": m, "property": "image_distinct"}, len(images), len(set(images))
+            yield {"n": n, "m": m, "property": "image_onto"}, True, set(images) == binary
 
 
 def _bijection_suite(n_max: int, m_max: int) -> list:
     return [
-        partial(_check_tree_bijection, n_max),
-        partial(_check_forest_bijection, min(6, n_max), m_max),
+        ("tree_bijection", _check_tree_bijection, {"n_max": n_max}),
+        ("forest_bijection", _check_forest_bijection, {"n_max": min(6, n_max), "m_max": m_max}),
     ]
 
 
@@ -234,53 +216,44 @@ def _bijection_suite(n_max: int, m_max: int) -> list:
 # series suite
 # ---------------------------------------------------------------------------
 
-def _check_series_vs_counts(order: int) -> CheckResult:
-    result = CheckResult("fuss_catalan_series_coefficients", {"order": order})
+def _series_case(params: dict, a, b) -> tuple:
+    """The case comparing two series of one order at their first differing index i (0 if none)."""
+    i = next((i for i, (p, q) in enumerate(zip(a.coeffs, b.coeffs)) if p != q), 0)
+    return {**params, "i": i}, a[i], b[i]
+
+
+def _check_series_vs_counts(order: int):
     for k in (2, 3, 5):
         s = series.fuss_catalan_series(k, order)
         for i in range(order + 1):
-            result.case({"k": k, "i": i}, k_catalan(i, k), s[i])
-    return result
+            yield {"k": k, "i": i}, k_catalan(i, k), s[i]
 
 
-def _series_case(result: CheckResult, params: dict, a, b) -> None:
-    """One case comparing two series of one order at their first differing index i (0 if none)."""
-    i = next((i for i, (p, q) in enumerate(zip(a.coeffs, b.coeffs)) if p != q), 0)
-    result.case({**params, "i": i}, a[i], b[i])
-
-
-def _check_colored_ternary_series(order: int) -> CheckResult:
-    result = CheckResult("colored_ternary_equals_catalan", {"order": order})
+def _check_colored_ternary_series(order: int):
     g = series.colored_tree_series(3, order)
     catalan = series.fuss_catalan_series(2, order)
     for i in range(order + 1):
-        result.case({"i": i}, catalan[i], g[i])
-    return result
+        yield {"i": i}, catalan[i], g[i]
 
 
-def _check_substitution_equations(order: int) -> CheckResult:
-    result = CheckResult("substitution_functional_equations", {"order": order})
+def _check_substitution_equations(order: int):
     x = series.TruncatedSeries.x(order)
     for k in (2, 3, 5):
         f = series.colored_tree_series(k, order)
-        _series_case(result, {"k": k}, x * f + 1, f - f ** k * x ** (k - 1))
-    return result
+        yield _series_case({"k": k}, x * f + 1, f - f ** k * x ** (k - 1))
 
 
-def _check_lagrange_powers(order: int, m_max: int) -> CheckResult:
-    result = CheckResult("power_coefficients_vs_forest_counts", {"order": order, "m_max": m_max})
+def _check_lagrange_powers(order: int, m_max: int):
     for k in (2, 3, 5):
         for m in range(1, m_max + 1):
             coeffs = series.fuss_catalan_power_coefficients(k, m, order)
             for p in range(order + 1):
-                result.case({"k": k, "m": m, "p": p}, forest_catalan(p, k, m), coeffs[p])
-    return result
+                yield {"k": k, "m": m, "p": p}, forest_catalan(p, k, m), coeffs[p]
 
 
-def _check_quinary_three_way(n_max: int, m_max: int) -> CheckResult:
+def _check_quinary_three_way(n_max: int, m_max: int):
     # [x^n] of the m-th power of the k=5 colored tree series, witnessed by
     # both closed-form sides of the quinary forest identity.
-    result = CheckResult("quinary_forest_three_way", {"n_max": n_max, "m_max": m_max})
     f = series.colored_tree_series(5, n_max)
     power = series.TruncatedSeries.constant(1, n_max)
     for m in range(1, m_max + 1):
@@ -288,28 +261,29 @@ def _check_quinary_three_way(n_max: int, m_max: int) -> CheckResult:
         for n in range(n_max + 1):
             lhs = identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
             rhs = identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
-            result.case({"n": n, "m": m}, lhs, power[n], rhs)
-    return result
+            yield {"n": n, "m": m}, lhs, power[n], rhs
 
 
-def _check_forest_expansion(order: int, m_max: int) -> CheckResult:
-    result = CheckResult("forest_expansion_route", {"order": order, "m_max": m_max})
+def _check_forest_expansion(order: int, m_max: int):
     g = series.colored_tree_series(3, order)
     power = series.TruncatedSeries.constant(1, order)
     for m in range(1, m_max + 1):
         power = power * g
-        _series_case(result, {"m": m}, power, series.forest_expansion_series(m, order))
-    return result
+        yield _series_case({"m": m}, power, series.forest_expansion_series(m, order))
 
 
 def _series_suite(order: int, m_max: int) -> list:
     return [
-        partial(_check_series_vs_counts, order),
-        partial(_check_colored_ternary_series, order),
-        partial(_check_substitution_equations, min(order, 32)),
-        partial(_check_lagrange_powers, min(order, 32), m_max),
-        partial(_check_quinary_three_way, min(order, 40), m_max),
-        partial(_check_forest_expansion, min(order, 32), min(m_max, 4)),
+        ("fuss_catalan_series_coefficients", _check_series_vs_counts, {"order": order}),
+        ("colored_ternary_equals_catalan", _check_colored_ternary_series, {"order": order}),
+        ("substitution_functional_equations", _check_substitution_equations,
+         {"order": min(order, 32)}),
+        ("power_coefficients_vs_forest_counts", _check_lagrange_powers,
+         {"order": min(order, 32), "m_max": m_max}),
+        ("quinary_forest_three_way", _check_quinary_three_way,
+         {"n_max": min(order, 40), "m_max": m_max}),
+        ("forest_expansion_route", _check_forest_expansion,
+         {"order": min(order, 32), "m_max": min(m_max, 4)}),
     ]
 
 
@@ -324,17 +298,14 @@ def _count(items) -> int:
     return next(counter)
 
 
-def _check_binary_generator(n_max: int) -> CheckResult:
-    result = CheckResult("binary_generator", {"n_max": n_max})
+def _check_binary_generator(n_max: int):
     for n in range(n_max + 1):
         words = list(trees.enumerate_binary_words(n, max_n=n_max))
-        result.case({"n": n, "property": "count"}, k_catalan(n, 2), len(words))
-        result.case({"n": n, "property": "distinct"}, len(words), len(set(words)))
-    return result
+        yield {"n": n, "property": "count"}, k_catalan(n, 2), len(words)
+        yield {"n": n, "property": "distinct"}, len(words), len(set(words))
 
 
-def _check_colored_generator(n_max: int) -> CheckResult:
-    result = CheckResult("colored_generator", {"n_max": n_max})
+def _check_colored_generator(n_max: int):
     zeros = itertools.repeat(0)
     for n in range(n_max + 1):
         for p in range(n // 2 + 1):
@@ -343,15 +314,12 @@ def _check_colored_generator(n_max: int) -> CheckResult:
             # with p negative items has color sum sum(map(abs, form)) - p.
             members = all(sum(map(operator.lt, t, zeros)) == p and sum(map(abs, t)) == n - p
                           for t in forms)
-            result.case({"n": n, "p": p, "property": "count"},
-                        colored_ternary_count(n, p), len(forms))
-            result.case({"n": n, "p": p, "property": "distinct"}, len(forms), len(set(forms)))
-            result.case({"n": n, "p": p, "property": "members"}, True, members)
-    return result
+            yield {"n": n, "p": p, "property": "count"}, colored_ternary_count(n, p), len(forms)
+            yield {"n": n, "p": p, "property": "distinct"}, len(forms), len(set(forms))
+            yield {"n": n, "p": p, "property": "members"}, True, members
 
 
-def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
-    result = CheckResult("forest_generators", {"n_max": n_max, "m_max": m_max})
+def _check_forest_generators(n_max: int, m_max: int):
     for m in range(1, m_max + 1):
         for n in range(n_max + 1):
             # The ternary forest identity's left side counts colored ternary
@@ -360,15 +328,14 @@ def _check_forest_generators(n_max: int, m_max: int) -> CheckResult:
             for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
                                      (trees.COLORED_TERNARY, colored)):
                 total = _count(trees.enumerate_forest_forms(family, n, m, max_n=n_max))
-                result.case({"n": n, "m": m, "family": family}, expected, total)
-    return result
+                yield {"n": n, "m": m, "family": family}, expected, total
 
 
 def _counts_suite(n_max: int, m_max: int) -> list:
     return [
-        partial(_check_binary_generator, n_max),
-        partial(_check_colored_generator, n_max),
-        partial(_check_forest_generators, min(8, n_max), m_max),
+        ("binary_generator", _check_binary_generator, {"n_max": n_max}),
+        ("colored_generator", _check_colored_generator, {"n_max": n_max}),
+        ("forest_generators", _check_forest_generators, {"n_max": min(8, n_max), "m_max": m_max}),
     ]
 
 
@@ -376,10 +343,14 @@ def _counts_suite(n_max: int, m_max: int) -> list:
 # Running the checks
 # ---------------------------------------------------------------------------
 
-def _timed(check) -> CheckResult:
-    """Run one check and keep its wall time, taken in the process that ran it."""
+def _run_check(name: str, cases, bounds: dict) -> CheckResult:
+    """Feed every case of `cases(**bounds)` to the check's result, and keep
+    its wall time, taken in the process that ran it.  Each case is fed before
+    the generator resumes, so a label function may read its loop variables."""
     started = time.perf_counter()
-    result = check()
+    result = CheckResult(name, bounds)
+    for case in cases(**bounds):
+        result.case(*case)
     result.seconds = time.perf_counter() - started
     return result
 
@@ -388,8 +359,8 @@ def _timed(check) -> CheckResult:
 # Entry point
 # ---------------------------------------------------------------------------
 
-# Each suite's checks, as units for `run_units`, and its acceptance bounds,
-# in the order `all` reports them.
+# Each suite's builder, which gives its checks as (name, cases, bounds)
+# rows, and its acceptance bounds, in the order `all` reports them.
 _SUITES = {
     "identities": (_identities_suite, {"n_max": 60, "m_max": 8}),
     "bijection": (_bijection_suite, {"n_max": 8, "m_max": 4}),
@@ -421,6 +392,6 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
         for key, value in bounds.items():
             if value < _LEAST_BOUNDS[key]:
                 raise ValueError(f"suite {name} needs {key} >= {_LEAST_BOUNDS[key]}, got {value}")
-        units += [partial(_timed, check) for check in build(**bounds)]
+        units += [partial(_run_check, *row) for row in build(**bounds)]
     return VerificationReport(suite, run_units(units, "verify"),
                               elapsed_seconds=time.perf_counter() - started)

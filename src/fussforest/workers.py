@@ -13,7 +13,8 @@ import threading
 
 
 class WorkerError(RuntimeError):
-    """A worker could not be started, or ended without sending its results."""
+    """A worker could not be started, could not send a value or an error, or
+    ended without sending its results."""
 
 
 def usable_cpus() -> int:
@@ -34,11 +35,37 @@ def _run_share(units: list) -> tuple[list, Exception | None]:
     return values, None
 
 
-def _fork(units: list, name: str) -> tuple[int, int]:
-    """Start a worker that runs the units and pickles what `_run_share` gives
-    back into a pipe; return its pid and the pipe's read end."""
+def _pickled(values: list, error: Exception | None, name: str) -> bytes:
+    """What a worker sends back, pickled: `_run_share`'s values and error.
+
+    If a value does not pickle, the values before it go, with a WorkerError
+    naming its pickling error in place of the error.  An error that does not
+    pickle, or pickles but does not load, goes as a WorkerError with its text.
+    """
     import pickle  # here, so that start-up does not pay for it
 
+    try:
+        data = pickle.dumps((values, error))
+        pickle.loads(data)  # some exceptions pickle but do not load
+        return data
+    except Exception:
+        pass
+    for i, value in enumerate(values):
+        try:
+            pickle.loads(pickle.dumps(value))
+        except Exception as err:
+            values = values[:i]
+            error = WorkerError(f"a {name} unit returned a value that cannot be sent: "
+                                f"{type(err).__name__}: {err}")
+            break
+    else:
+        error = WorkerError(f"{type(error).__name__}: {error}")
+    return pickle.dumps((values, error))
+
+
+def _fork(units: list, name: str) -> tuple[int, int]:
+    """Start a worker that runs the units and writes what `_pickled` makes
+    of their values into a pipe; return its pid and the pipe's read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -49,12 +76,7 @@ def _fork(units: list, name: str) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(read)
-            values, error = _run_share(units)
-            try:
-                data = pickle.dumps((values, error))
-                pickle.loads(data)  # some exceptions pickle but do not load
-            except Exception:
-                data = pickle.dumps((values, WorkerError(f"{type(error).__name__}: {error}")))
+            data = _pickled(*_run_share(units), name)
             with open(write, "wb") as stream:
                 stream.write(data)
         finally:
@@ -85,9 +107,12 @@ def run_units(units: list, name: str) -> list:
     share the units: process w runs units w, w + W, ..., so W = 1 is the
     same loop with no fork.  W is 1 without os.fork, and while other threads
     run, since a fork copies the locks they may hold.  The exception of the
-    lowest-numbered failing unit is raised here with its own type.  `name`
-    says whose workers they are in a WorkerError.
+    lowest-numbered failing unit is raised here with its own type; a unit
+    whose value a worker cannot pickle fails with a WorkerError that names
+    the pickling error.  `name` says whose workers they are in a WorkerError.
     """
+    if not units:
+        return []
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         workers = min(len(units), usable_cpus())

@@ -33,7 +33,7 @@ from fussforest.trees import (
     enumerate_forests,
     serialize,
 )
-from fussforest.verify import _check_quinary_three_way
+from fussforest.verify import _check_quinary_three_way, _run_check
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,7 +75,8 @@ def test_criterion_03_quinary_forest_identity_three_way():
         if identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
         != identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
     ]
-    failures += _check_quinary_three_way(40, 6).failures
+    failures += _run_check("quinary_forest_three_way", _check_quinary_three_way,
+                           {"n_max": 40, "m_max": 6}).failures
     report(3, "quinary forest identity + series three-way", failures, started)
 
 

@@ -1,6 +1,7 @@
 """Verification sweeps: the routes they compare stay independent, and failures read as trees."""
 
 import ast
+import hashlib
 import inspect
 import itertools
 import os
@@ -54,6 +55,11 @@ def test_counts_checks_do_not_call_the_bijection():
             "_check_forest_generators"} <= seen
 
 
+def _failures(cases, **bounds) -> list:
+    """The failures of one check's case generator at the given bounds."""
+    return verify._run_check("example", cases, bounds).failures
+
+
 def test_counts_checks_catch_a_wrong_form_and_a_lost_forest(monkeypatch):
     # Weight 4 with one internal vertex: (~0, ~0, 0, 1) has the right
     # absolute sum but two internal vertices, (~0, 0, 0, 3) the right
@@ -65,11 +71,11 @@ def test_counts_checks_catch_a_wrong_form_and_a_lost_forest(monkeypatch):
             return forms[:-1] + [wrong] if (n, p) == (4, 1) else forms
 
         monkeypatch.setattr(trees, "enumerate_ternary_preorders", corrupt)
-        failures = verify._check_colored_generator(5).failures
+        failures = _failures(verify._check_colored_generator, n_max=5)
         assert [f.params for f in failures] == [{"n": 4, "p": 1, "property": "members"}]
     monkeypatch.setattr(trees, "enumerate_forest_forms",
                         lambda *args, **kwargs: itertools.islice(real_forests(*args, **kwargs), 1))
-    failures = verify._check_forest_generators(2, 1).failures
+    failures = _failures(verify._check_forest_generators, n_max=2, m_max=1)
     assert [(f.params["n"], f.params["family"], f.actual) for f in failures] == [
         (2, trees.BINARY, "1"), (2, trees.COLORED_TERNARY, "1")]
 
@@ -177,7 +183,8 @@ def test_a_corrupt_series_kernel_is_reported_not_raised(monkeypatch, capsys):
 
 def test_quinary_three_way_report():
     for n_max, m_max in ((20, 3), (4, 1)):
-        result = verify._check_quinary_three_way(n_max, m_max)
+        bounds = {"n_max": n_max, "m_max": m_max}
+        result = verify._run_check("quinary_forest_three_way", verify._check_quinary_three_way, bounds)
         assert (result.cases, result.failures) == ((n_max + 1) * m_max, [])
 
 
@@ -245,18 +252,38 @@ def test_all_reports_are_byte_identical_for_one_and_two_cpus(cpus):
     assert "(cases=12737, failures=0)" in reports[0][0]
 
 
+# sha256 of the whole `verify --suite all` stdout at the acceptance bounds,
+# text and --json: every check's name, bounds, case count and verdict, in order.
+ALL_REPORT_SHA256 = {
+    "text": "847213447f1d01eddf2bf11a0367558257bfdb36837a8ddd69629141d00a2eb1",
+    "json": "bb731b3056b8fe19a33bc04d4239027575a9f16c7bc36c519407a0f0cb3ad783",
+}
+
+
+@pytest.mark.parametrize("form", sorted(ALL_REPORT_SHA256))
+def test_the_all_report_is_pinned_by_its_digest(form, capsys):
+    code = cli.main(["verify", "--suite", "all"] + (["--json"] if form == "json" else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_REPORT_SHA256[form]
+
+
 @needs_fork
 def test_units_run_in_one_process_per_cpu_and_workers_are_reaped(cpus, monkeypatch):
-    def where(*bounds):
-        return verify.CheckResult("pid", {"pid": os.getpid()})
+    def where(**bounds):
+        # One failing case whose label is the pid of the process that ran it.
+        yield {"pid": os.getpid()}, True, False
+
+    def reported_pids() -> list:
+        return [c.failures[0].params["pid"] for c in verify.run_suite("counts").checks]
 
     for name in ("_check_binary_generator", "_check_colored_generator",
                  "_check_forest_generators"):
         monkeypatch.setattr(verify, name, where)
     cpus(1)
-    assert [c.bounds["pid"] for c in verify.run_suite("counts").checks] == [os.getpid()] * 3
+    assert reported_pids() == [os.getpid()] * 3
     cpus(2)
-    pids = [c.bounds["pid"] for c in verify.run_suite("counts").checks]
+    pids = reported_pids()
     assert pids[0] == pids[2] == os.getpid() != pids[1]
     assert _no_children_left()
 
@@ -265,7 +292,7 @@ def _fail_in_worker(monkeypatch, fault) -> None:
     """Make the counts suite's second unit, which the worker runs at two CPUs, call fault."""
     caller = os.getpid()
 
-    def unit(*bounds):
+    def unit(**bounds):
         assert os.getpid() != caller, "the unit ran in the caller"
         fault()
 
@@ -305,7 +332,7 @@ def test_the_lowest_failing_unit_raises_with_its_own_type(cpus, monkeypatch):
     def worker_fault():
         raise trees.SizeCapError("unit 1")
 
-    def caller_fault(*bounds):
+    def caller_fault(**bounds):
         raise MemoryError("unit 2")
 
     _fail_in_worker(monkeypatch, worker_fault)

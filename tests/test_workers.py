@@ -24,3 +24,26 @@ def test_plain_values_come_back_in_unit_order_from_two_processes(monkeypatch):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
+
+def test_no_units_give_no_values():
+    assert workers.run_units([], "test") == []
+
+
+@needs_fork
+def test_a_value_that_does_not_pickle_is_reported_by_its_own_error(monkeypatch):
+    # At two processes the worker runs units 1 and 3, the caller 0 and 2.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def fails():
+        raise ValueError("unit 2")
+
+    units = [lambda: 0, lambda: (lambda: 1), lambda: 2, lambda: 3]
+    with pytest.raises(workers.WorkerError,
+                       match="^a test unit returned a value that cannot be sent: "):
+        workers.run_units(units, "test")
+    # The values before it are sent, so a failure at a lower unit still wins.
+    units = [lambda: 0, lambda: 1, fails, lambda: (lambda: 3)]
+    with pytest.raises(ValueError, match="^unit 2$"):
+        workers.run_units(units, "test")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
