@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fussforest.exact import Identity, Side, identity_side  # noqa: E402
+from fussforest.exact import Identity, Side, identity_sides  # noqa: E402
 
 
 def main() -> int:
@@ -26,12 +26,14 @@ def main() -> int:
               f"| {'q-forest l=r':>16} | {'quinary l=r':>14}")
     print(header)
     print("-" * len(header))
+    # One sweep over n per column and side, read in lockstep.
+    sweeps = [(identity_sides(ident, Side.LHS, m), identity_sides(ident, Side.RHS, m))
+              for ident, m in ((Identity.TERNARY, 1), (Identity.TERNARY_FOREST, args.m),
+                               (Identity.QUINARY_FOREST, args.m), (Identity.QUINARY, 1))]
     for n in range(args.n_max + 1):
         cells = []
-        for ident, m in ((Identity.TERNARY, 1), (Identity.TERNARY_FOREST, args.m),
-                         (Identity.QUINARY_FOREST, args.m), (Identity.QUINARY, 1)):
-            lhs = identity_side(ident, Side.LHS, n, m)
-            rhs = identity_side(ident, Side.RHS, n, m)
+        for lhs_sides, rhs_sides in sweeps:
+            lhs, rhs = next(lhs_sides), next(rhs_sides)
             cells.append(f"{lhs}={rhs}" if lhs == rhs else f"{lhs}!={rhs} <-- MISMATCH")
         print(f"{n:>3} | {cells[0]:>14} | {cells[1]:>16} | {cells[2]:>16} | {cells[3]:>14}")
     return 0

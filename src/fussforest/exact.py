@@ -4,10 +4,11 @@ Every identity's left side is one by-parts sum over forests, and the two
 quinary identities share one alternating right side; the single-tree
 identities are evaluated as the m=1 case of the forest ones.  Their literal
 single-tree transcriptions are kept in the test suite as an oracle.  Both
-sums are hypergeometric (Petkovsek-Wilf-Zeilberger, *A=B*): each computes
-its first term as one binomial and every later term from the one before it,
-by one big-by-small product and one checked exact division, so a sum over
-n/2 terms costs O(n) such steps instead of two binomials per term.
+sums are hypergeometric in p and in n (Petkovsek-Wilf-Zeilberger, *A=B*).
+One side at one n takes O(n) steps along p: one binomial, then each term from
+the one before it by one big-by-small product and one checked exact division.
+A sweep over n keeps the row of terms and steps it to n+1 by its ratios in n,
+a few C-level maps a row, so the interpreter no longer runs once per term.
 
 Every quantity here is a plain Python int (arbitrary precision), so there is
 no overflow and no rounding anywhere.  All divisions hidden inside the
@@ -19,7 +20,11 @@ transcription, never bad user input.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
+from itertools import count, repeat
+from math import perm
+from operator import floordiv, mul
 
 # Counts are plain nonnegative Python ints; the alias is documentation only.
 Count = int
@@ -114,73 +119,127 @@ def colored_ternary_count(n: int, p: int) -> Count:
     return k_catalan(p, 3) * binomial(n + p, n - 2 * p)
 
 
-def by_parts_terms(k: int, n: int, m: int):
-    """Yield FCk(p, m) * binom(n+p+m-1, n-(k-1)p) for p from 0 to floor(n/(k-1)).
-
-    The terms of the by-parts sum, each computed from the one before it.
-    Term p is m (n+p+m-1)! / (p! ((k-1)p+m)! (n-(k-1)p)!), so term 0 is
-    binom(n+m-1, n) and the ratio of term p+1 to term p is
-
-        (n+p+m) * prod_{j<k-1} (n-(k-1)p-j)  /  ((p+1) * prod_{j=1..k-1} ((k-1)p+m+j)).
-
-    Each step is one big-by-small product and one checked exact division.
-    """
-    term = binomial(n + m - 1, n)
-    yield term
-    for p in range(n // (k - 1)):
-        rest, parts = n - (k - 1) * p, (k - 1) * p + m
-        numerator, denominator = n + p + m, p + 1
-        for j in range(k - 1):
-            numerator *= rest - j
-            denominator *= parts + j + 1
-        term = _exact_div(term * numerator, denominator)
+def _exact_steps(term: int, numerators, denominators):
+    """Yield term * a / b, from each term the next, every division checked exact."""
+    for a, b in zip(numerators, denominators):
+        product = term * a
+        term, remainder = divmod(product, b)
+        if remainder:
+            raise ExactnessError(f"{product} is not divisible by {b} (remainder {remainder})")
         yield term
 
 
-def _forest_by_parts(k: int, n: int, m: int) -> int:
-    """The left side of every identity: the sum of :func:`by_parts_terms`."""
-    return sum(by_parts_terms(k, n, m))
+def _step_row(row: list, numerators, denominators) -> list:
+    """Step each term of a row by its ratio, one C-level map a pass, checked by multiplying back."""
+    products = list(map(mul, row, numerators))
+    quotients = list(map(floordiv, products, denominators))
+    if list(map(mul, quotients, denominators)) != products:
+        list(map(_exact_div, products, denominators))  # raises at the first remainder
+    return quotients
 
 
-def _binary_forest_count(n: int, m: int) -> int:
-    return forest_catalan(n, 2, m)
+# A sum of T(n, p) over p <= n // period, hypergeometric in p and in n: first(n, m)
+# is T(n, 0), p_ratio(n, m, p) gives the numerators and denominators of T(n, q+1) /
+# T(n, q) for q >= p, n_ratio(n, m, size) those of T(n+1, q) / T(n, q) for q < size
+# (its denominators a sequence), and value(sum of the terms, n, m) is the side.
+_Sum = namedtuple("_Sum", "period first p_ratio n_ratio value")
 
 
-def _quinary_forest_rhs(n: int, m: int) -> int:
-    """sum_p (-1)^p binom(m+n+p-1, p) binom(m+2n-2p-1, n-2p), times m/(m+n).
+def _terms(how: _Sum, n: int, m: int):
+    term = how.first(n, m)
+    yield term
+    yield from _exact_steps(term, *how.p_ratio(n, m, 0))
 
-    The common factor m/(m+n) is pulled out so the signed part stays in
-    plain integers, then divided back exactly at the end.  Term 0 is
-    binom(m+2n-1, n), and the ratio of term p+1 to term p is
-    (m+n+p)(n-2p)(n-2p-1) / ((p+1)(m+2n-2p-1)(m+2n-2p-2)).
+
+def _rows(how: _Sum, m: int):
+    """The rows of terms at n = 0, 1, 2, ..., each stepped from the one before it."""
+    row, n = [how.first(0, m)], 0
+    while True:
+        yield row
+        row = _step_row(row, *how.n_ratio(n, m, len(row)))
+        n += 1
+        if n // how.period == len(row):
+            row.append(next(_exact_steps(row[-1], *how.p_ratio(n, m, len(row) - 1))))
+
+
+def _by_parts(k: int) -> _Sum:
+    """FCk(p, m) * binom(n+p+m-1, n-(k-1)p), that is m (n+p+m-1)! / (p! ((k-1)p+m)! (n-(k-1)p)!)."""
+    j = k - 1
+
+    def p_ratio(n, m, p):  # (n+p+m) (n-jp)_j / ((p+1) (jp+m+j)_j), in falling factorials
+        return (map(mul, count(n + p + m), map(perm, range(n - j * p, j - 1, -j), repeat(j))),
+                map(mul, count(p + 1), map(perm, count(j * p + m + j, j), repeat(j))))
+
+    def n_ratio(n, m, size):  # (n+p+m) / (n+1-jp)
+        return range(n + m, n + m + size), range(n + 1, n + 1 - j * size, -j)
+
+    return _Sum(j, lambda n, m: binomial(n + m - 1, n), p_ratio, n_ratio, lambda total, n, m: total)
+
+
+def by_parts_terms(k: int, n: int, m: int):
+    """Yield FCk(p, m) * binom(n+p+m-1, n-(k-1)p) for p from 0 to floor(n/(k-1)).
+
+    Term 0 is binom(n+m-1, n), and every later term comes from the one before
+    it by one big-by-small product and one checked exact division.
     """
-    term = binomial(m + 2 * n - 1, n)
-    signed = term
-    for p in range(n // 2):
-        rest = m + 2 * n - 2 * p
-        term = _exact_div(term * ((m + n + p) * (n - 2 * p) * (n - 2 * p - 1)),
-                          (p + 1) * (rest - 1) * (rest - 2))
-        signed += term if p % 2 else -term
+    return _terms(_by_parts(k), n, m)
+
+
+def _alternating_p_ratio(n: int, m: int, p: int):
+    # -(m+n+p)(n-2p)(n-2p-1) / ((p+1)(m+2n-2p-1)(m+2n-2p-2)): each term carries its sign.
+    return (map(mul, count(-(m + n + p), -1), map(perm, range(n - 2 * p, 1, -2), repeat(2))),
+            map(mul, count(p + 1), map(perm, count(m + 2 * n - 2 * p - 1, -2), repeat(2))))
+
+
+def _alternating_n_ratio(n: int, m: int, size: int):
+    # (m+n+p)(m+2n-2p+1)(m+2n-2p) / ((m+n)^2 (n-2p+1))
+    return (map(mul, range(m + n, m + n + size), map(perm, range(m + 2 * n + 1, m, -2), repeat(2))),
+            list(map(mul, range(n + 1, n + 1 - 2 * size, -2), repeat((m + n) ** 2))))
+
+
+def _alternating_value(signed: int, n: int, m: int) -> int:
     value = _exact_div(m * signed, m + n)
     if value < 0:
         raise ExactnessError(f"alternating sum evaluated negative: {value} at n={n}, m={m}")
     return value
 
 
-# Each identity's arity k, whose by-parts sum is its left side, and its right side.
-_EVALUATORS = {
-    Identity.TERNARY: (3, _binary_forest_count),
-    Identity.TERNARY_FOREST: (3, _binary_forest_count),
-    Identity.QUINARY_FOREST: (5, _quinary_forest_rhs),
-    Identity.QUINARY: (5, _quinary_forest_rhs),
+# sum_p (-1)^p binom(m+n+p-1, p) binom(m+2n-2p-1, n-2p), times m/(m+n).  The
+# common factor is pulled out so the signed part stays in plain integers, then
+# divided back exactly at the end.
+_ALTERNATING = _Sum(2, lambda n, m: binomial(m + 2 * n - 1, n), _alternating_p_ratio,
+                    _alternating_n_ratio, _alternating_value)
+
+
+def _binary_forest_count(n: int, m: int) -> int:
+    return forest_catalan(n, 2, m)
+
+
+# Each identity's left side, a by-parts sum of arity k, and its right side.
+_SIDES = {
+    Identity.TERNARY: (_by_parts(3), _binary_forest_count),
+    Identity.TERNARY_FOREST: (_by_parts(3), _binary_forest_count),
+    Identity.QUINARY_FOREST: (_by_parts(5), _ALTERNATING),
+    Identity.QUINARY: (_by_parts(5), _ALTERNATING),
 }
 
 # Identities stated only for a single component: m must be exactly 1.
 SINGLE_COMPONENT = (Identity.TERNARY, Identity.QUINARY)
 
 
+def _side(identity: Identity, side: Side, m: int):
+    """One side's sum, or for FC2(n, m) its closed form, once m is checked."""
+    if m < 1:
+        raise ValueError(f"identity sides require m >= 1, got m={m}")
+    if identity in SINGLE_COMPONENT and m != 1:
+        raise ValueError(f"{identity.value} is a single-component identity; m must be 1, got m={m}")
+    if not isinstance(side, Side):
+        raise ValueError(f"identity sides require a Side, got {side!r}")
+    return _SIDES[identity][side is Side.RHS]
+
+
 def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
-    """Evaluate one side of one identity exactly.
+    """Evaluate one side of one identity exactly, in O(n) steps along one row of terms.
 
     The single-tree identities are evaluated as the m=1 case of their forest
     identities, and for them m must be 1.  Sums over p run to floor(n/2) or
@@ -188,13 +247,16 @@ def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
     """
     if n < 0:
         raise ValueError(f"identity_side requires n >= 0, got n={n}")
-    if m < 1:
-        raise ValueError(f"identity_side requires m >= 1, got m={m}")
-    if identity in SINGLE_COMPONENT and m != 1:
-        raise ValueError(f"{identity.value} is a single-component identity; m must be 1, got m={m}")
-    k, rhs = _EVALUATORS[identity]
-    if side is Side.RHS:
-        return rhs(n, m)
-    if side is not Side.LHS:
-        raise ValueError(f"identity_side requires a Side, got {side!r}")
-    return _forest_by_parts(k, n, m)
+    how = _side(identity, side, m)
+    if not isinstance(how, _Sum):
+        return how(n, m)
+    return how.value(sum(_terms(how, n, m)), n, m)
+
+
+def identity_sides(identity: Identity, side: Side, m: int = 1):
+    """Iterate identity_side(identity, side, n, m) for n = 0, 1, 2, ...; a sum steps
+    its whole row of terms from n to n+1 in C.  Arguments are checked at the call."""
+    how = _side(identity, side, m)
+    if not isinstance(how, _Sum):
+        return map(how, count(), repeat(m))
+    return map(how.value, map(sum, _rows(how, m)), count(), repeat(m))

@@ -29,7 +29,7 @@ from functools import partial
 
 from . import bijection, series, trees
 from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
-                    colored_ternary_count, forest_catalan, identity_side, k_catalan)
+                    colored_ternary_count, forest_catalan, identity_side, identity_sides, k_catalan)
 from .workers import WorkerError, run_units  # noqa: F401  (run_suite raises WorkerError)
 
 
@@ -128,11 +128,13 @@ _IDENTITY_CHECKS = (
 
 def _check_identity(identity: Identity, witness, n_max: int, m_max: int = 1):
     """One identity's RHS against its LHS (and its witness) for every n and
-    m; a single-component identity runs at m_max=1 and labels its cases by n."""
+    m, one sweep over n per side and m; a single-component identity runs at
+    m_max=1 and labels its cases by n."""
+    sweeps = [(m, identity_sides(identity, Side.LHS, m), identity_sides(identity, Side.RHS, m))
+              for m in range(1, m_max + 1)]
     for n in range(n_max + 1):
-        for m in range(1, m_max + 1):
-            lhs = identity_side(identity, Side.LHS, n, m)
-            rhs = identity_side(identity, Side.RHS, n, m)
+        for m, lhs_sides, rhs_sides in sweeps:
+            lhs, rhs = next(lhs_sides), next(rhs_sides)
             yield ({"n": n} if identity in SINGLE_COMPONENT else {"n": n, "m": m},
                    *((witness(n), lhs, rhs) if witness else (rhs, lhs)))
 
@@ -140,9 +142,10 @@ def _check_identity(identity: Identity, witness, n_max: int, m_max: int = 1):
 def _check_forest_single_component(n_max: int):
     # At m=1 each by-parts term, computed from the one before it, must equal
     # the single-tree identity's term C3(p) * binom(n+p, 3p) written out.
+    ternary = [k_catalan(p, 3) for p in range(n_max // 2 + 1)]
     for n in range(n_max + 1):
         for p, term in enumerate(by_parts_terms(3, n, 1)):
-            yield {"n": n, "p": p}, k_catalan(p, 3) * binomial(n + p, 3 * p), term
+            yield {"n": n, "p": p}, ternary[p] * binomial(n + p, 3 * p), term
 
 
 def _check_colored_count_sum(n_max: int):

@@ -1,10 +1,13 @@
 """Closed-form counting kernel: frozen small values, oracles, and invariants."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
 import oracle_identities as oracle
 
+from fussforest import exact
 from fussforest.exact import (
     ExactnessError,
     Identity,
@@ -14,6 +17,7 @@ from fussforest.exact import (
     colored_ternary_count,
     forest_catalan,
     identity_side,
+    identity_sides,
     k_catalan,
 )
 from fussforest.trees import enumerate_binary, enumerate_colored_ternary, enumerate_forests
@@ -183,6 +187,41 @@ def test_identity_sides_match_the_literal_oracle(identity, side):
     for n in (*range(101), 499, 500):
         for m in ms:
             assert identity_side(identity, side, n, m) == expected(n, m), (n, m)
+
+
+@pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+@pytest.mark.parametrize("side", list(Side), ids=lambda s: s.value)
+def test_a_sweep_over_n_equals_each_side_at_its_n(identity, side):
+    # The sweep steps whole rows of terms in n; identity_side walks one row in p.
+    ms = (1,) if identity in (Identity.TERNARY, Identity.QUINARY) else range(1, 9)
+    for m in ms:
+        sides = list(islice(identity_sides(identity, side, m), 501))
+        for n in (*range(121), 499, 500):
+            assert sides[n] == identity_side(identity, side, n, m), (n, m)
+
+
+def test_a_sweep_checks_its_arguments_at_the_call():
+    for identity, m in ((Identity.TERNARY_FOREST, 0), (Identity.QUINARY_FOREST, -1),
+                        (Identity.TERNARY, 2), (Identity.QUINARY, 3)):
+        for side in Side:
+            with pytest.raises(ValueError):
+                identity_sides(identity, side, m)
+    with pytest.raises(ValueError):
+        identity_sides(Identity.TERNARY_FOREST, "lhs", 1)
+
+
+def test_a_row_step_that_does_not_divide_raises():
+    # 7 * 1 // 2 would be 3: the floor division alone returns a wrong number.
+    assert exact._step_row([6, 8], [1, 3], range(3, 1, -1)) == [2, 12]
+    with pytest.raises(ExactnessError):
+        exact._step_row([6, 7], [1, 1], [3, 2])
+    # A wrong ratio in n inside a sweep raises at the first row it touches.
+    good = exact._SIDES[Identity.TERNARY_FOREST][0]
+    wrong = good._replace(n_ratio=lambda n, m, size: (range(n + m, n + m + size),
+                                                     range(n + 2, n + 2 - 2 * size, -2)))
+    assert list(islice(exact._rows(good, 1), 3)) == [[1], [1], [1, 1]]
+    with pytest.raises(ExactnessError):
+        next(islice(exact._rows(wrong, 1), 1, None))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])

@@ -93,9 +93,9 @@ def test_failures_show_trees_as_canonical_text():
 def test_identity_failures_show_both_sides_in_a_fixed_order(monkeypatch):
     # Each LHS is one too large: the witnessed check shows LHS / RHS against
     # its witness, the others LHS against RHS.
-    real = verify.identity_side
-    monkeypatch.setattr(verify, "identity_side", lambda identity, side, n, m=1:
-                        real(identity, side, n, m) + (side is Side.LHS))
+    real = verify.identity_sides
+    monkeypatch.setattr(verify, "identity_sides", lambda identity, side, m=1:
+                        (value + (side is Side.LHS) for value in real(identity, side, m)))
     report = verify.run_suite("identities", n_max=3, m_max=2)
     firsts = {c.name: (c.failures[0].params, c.failures[0].expected, c.failures[0].actual)
               for c in report.checks if c.failures}
@@ -266,6 +266,26 @@ def test_the_all_report_is_pinned_by_its_digest(form, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_REPORT_SHA256[form]
+
+
+# The same for the benchmark's high_order pass: the identities at n <= 300,
+# text and --json, and the series at order 128.
+HIGH_ORDER_REPORT_SHA256 = {
+    ("identities", "text"): "665a090a5b03940cd99b09862fe7f04792a987b6ba1ec5d1fbf75f44446c4429",
+    ("identities", "json"): "fb1e6b778fb7a847c9a696804090584067d189978fe7199318ab9d3431b744ce",
+    ("series", "text"): "7a21b9e41f6ce92bee205c1759378c02aef014b9dda5b694b4f17e8d82ee13d6",
+}
+HIGH_ORDER_BOUNDS = {"identities": ["--n-max", "300", "--m-max", "8"],
+                     "series": ["--order", "128", "--m-max", "6"]}
+
+
+@pytest.mark.parametrize("suite, form", sorted(HIGH_ORDER_REPORT_SHA256))
+def test_the_high_order_reports_are_pinned_by_their_digests(suite, form, capsys):
+    code = cli.main(["verify", "--suite", suite, *HIGH_ORDER_BOUNDS[suite]]
+                    + (["--json"] if form == "json" else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == HIGH_ORDER_REPORT_SHA256[(suite, form)]
 
 
 @needs_fork
