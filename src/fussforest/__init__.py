@@ -61,7 +61,6 @@ from .series import (
     TruncatedSeries,
     colored_tree_series,
     forest_expansion_series,
-    fuss_catalan_power_coefficients,
     fuss_catalan_series,
     geometric_series_power,
 )

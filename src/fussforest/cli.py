@@ -218,9 +218,11 @@ def cmd_map(args) -> int:
         blocks = workers.run_units(units, "map")
     except ParseError as err:
         line_no = text.count("\n", 0, err.offset)
+        end = text.find("\n", err.offset)
+        line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
         parse_target = trees.parse_binary_word if target == BINARY else trees.parse_ternary_preorder
         try:
-            parse_target(text.split("\n")[line_no])
+            parse_target(line)
         except ParseError:
             raise err from None
         raise FamilyMismatchError(

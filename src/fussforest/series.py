@@ -152,18 +152,6 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(accumulate(acc)))
 
 
-def fuss_catalan_power_coefficients(k: int, m: int, order: int) -> list[int]:
-    """Coefficients of the m-th power of the k-ary tree series, up to `order`.
-
-    Coefficient p is expected to equal forest_catalan(p, k, m); the
-    comparison is left to callers so the series route stays an independent
-    witness.
-    """
-    if m < 1:
-        raise ValueError(f"fuss_catalan_power_coefficients requires m >= 1, got {m}")
-    return list((fuss_catalan_series(k, order) ** m).coeffs)
-
-
 def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
     """Sum over p of forest_catalan(p,3,m) * x^(2p) / (1-x)^(3p+m).
 

@@ -29,7 +29,9 @@ from functools import partial
 
 from . import bijection, series, trees
 from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
-                    colored_ternary_count, forest_catalan, identity_side, identity_sides, k_catalan)
+                    colored_ternary_count, forest_catalan, identity_sides, k_catalan)
+# identity_side goes unused here; perfbench/spans.py wraps it under this name.
+from .exact import identity_side  # noqa: F401
 from .workers import WorkerError, run_units  # noqa: F401  (run_suite raises WorkerError)
 
 
@@ -171,7 +173,8 @@ def _check_tree_bijection(n_max: int):
     # The public maps on tree objects, so that the conversions around
     # encode and decode are checked too; the forest check runs on forms.
     for n in range(n_max + 1):
-        binary_words = set(trees.enumerate_binary_words(n, max_n=n_max))
+        words = list(trees.enumerate_binary_words(n, max_n=n_max))
+        binary_words = set(words)
         domain, images = set(), []
         for t in trees.enumerate_colored_ternary(n, max_n=n_max):
             b = bijection.phi(t)
@@ -180,7 +183,7 @@ def _check_tree_bijection(n_max: int):
                    word.count("1") == n, word in binary_words, bijection.phi_inverse(b) == t)
             domain.add(t.preorder)
             images.append(word)
-        for b in trees.enumerate_binary(n, max_n=n_max):
+        for b in map(trees.binary_from_word, words):
             t = bijection.phi_inverse(b)
             yield (lambda: {"n": n, "tree": trees.serialize(b)}, True,
                    t.preorder in domain, bijection.phi(t) == b)
@@ -192,10 +195,9 @@ def _check_tree_bijection(n_max: int):
 
 def _check_forest_bijection(n_max: int, m_max: int):
     for m in range(1, m_max + 1):
-        for n in range(n_max + 1):
+        for n, count in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
             colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
-            yield ({"n": n, "m": m, "property": "colored_count"},
-                   identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m), len(colored))
+            yield {"n": n, "m": m, "property": "colored_count"}, count, len(colored)
             images = []
             for forest in colored:
                 image = tuple(map(bijection.encode, forest))
@@ -218,6 +220,11 @@ def _bijection_suite(n_max: int, m_max: int) -> list:
 # ---------------------------------------------------------------------------
 # series suite
 # ---------------------------------------------------------------------------
+
+def _powers(f, m_max: int):
+    """f, f^2, ..., f^m_max, each power the one before it times f."""
+    return itertools.accumulate(itertools.repeat(f, m_max), operator.mul)
+
 
 def _series_case(params: dict, a, b) -> tuple:
     """The case comparing two series of one order at their first differing index i (0 if none)."""
@@ -248,30 +255,22 @@ def _check_substitution_equations(order: int):
 
 def _check_lagrange_powers(order: int, m_max: int):
     for k in (2, 3, 5):
-        for m in range(1, m_max + 1):
-            coeffs = series.fuss_catalan_power_coefficients(k, m, order)
+        for m, power in enumerate(_powers(series.fuss_catalan_series(k, order), m_max), 1):
             for p in range(order + 1):
-                yield {"k": k, "m": m, "p": p}, forest_catalan(p, k, m), coeffs[p]
+                yield {"k": k, "m": m, "p": p}, forest_catalan(p, k, m), power[p]
 
 
 def _check_quinary_three_way(n_max: int, m_max: int):
     # [x^n] of the m-th power of the k=5 colored tree series, witnessed by
     # both closed-form sides of the quinary forest identity.
-    f = series.colored_tree_series(5, n_max)
-    power = series.TruncatedSeries.constant(1, n_max)
-    for m in range(1, m_max + 1):
-        power = power * f
-        for n in range(n_max + 1):
-            lhs = identity_side(Identity.QUINARY_FOREST, Side.LHS, n, m)
-            rhs = identity_side(Identity.QUINARY_FOREST, Side.RHS, n, m)
+    for m, power in enumerate(_powers(series.colored_tree_series(5, n_max), m_max), 1):
+        sides = (identity_sides(Identity.QUINARY_FOREST, side, m) for side in (Side.LHS, Side.RHS))
+        for n, lhs, rhs in zip(range(n_max + 1), *sides):
             yield {"n": n, "m": m}, lhs, power[n], rhs
 
 
 def _check_forest_expansion(order: int, m_max: int):
-    g = series.colored_tree_series(3, order)
-    power = series.TruncatedSeries.constant(1, order)
-    for m in range(1, m_max + 1):
-        power = power * g
+    for m, power in enumerate(_powers(series.colored_tree_series(3, order), m_max), 1):
         yield _series_case({"m": m}, power, series.forest_expansion_series(m, order))
 
 
@@ -324,10 +323,9 @@ def _check_colored_generator(n_max: int):
 
 def _check_forest_generators(n_max: int, m_max: int):
     for m in range(1, m_max + 1):
-        for n in range(n_max + 1):
-            # The ternary forest identity's left side counts colored ternary
-            # m-forests of weight n by their internal vertices.
-            colored = identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m)
+        # The ternary forest identity's left side counts colored ternary
+        # m-forests of weight n by their internal vertices.
+        for n, colored in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
             for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
                                      (trees.COLORED_TERNARY, colored)):
                 total = _count(trees.enumerate_forest_forms(family, n, m, max_n=n_max))

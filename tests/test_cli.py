@@ -286,7 +286,8 @@ def test_map_non_ascii_byte_is_a_parse_error_from_file_and_stdin(
 @pytest.mark.parametrize("text, exit_code", [
     ("(L L)\n(L x)\n", EXIT_PARSE),
     ("(L L)\n(0: 0 0 0)\n", EXIT_FAMILY),
-], ids=["parse", "family"])
+    ("(L L)\n(0: 0 0 0)", EXIT_FAMILY),
+], ids=["parse", "family", "family-no-final-newline"])
 def test_map_error_leaves_no_out_file(tmp_path, capsys, text, exit_code):
     src = tmp_path / "in.txt"
     src.write_text(text, encoding="ascii")
@@ -453,6 +454,8 @@ _LAST_BLOCK_FAILURES = [
      "error: offset {at}: expected a color digit or '(', found ')'\n"),
     ("b2t", "", "(0: 0 0 0)\n", 0, EXIT_FAMILY,
      "error: line {line} parses as the opposite family; check --direction\n"),
+    ("b2t", "", "(0: 0 0 0)", 0, EXIT_FAMILY,
+     "error: line {line} parses as the opposite family; check --direction\n"),
     ("t2b", "", "9" * 300 + "\n", 0, EXIT_RESOURCE, "error: out of resources: OverflowError: "),
     ("t2b", "9" * 300 + "\n", "(1: 0 0)\n", 7, EXIT_PARSE,
      "error: offset {at}: expected a color digit or '(', found ')'\n"),
@@ -462,7 +465,8 @@ _LAST_BLOCK_FAILURES = [
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("direction, head, tail, offset, exit_code, message", _LAST_BLOCK_FAILURES,
-                         ids=["parse", "parse-ternary", "family", "huge-color", "parse-first"])
+                         ids=["parse", "parse-ternary", "family", "family-no-final-newline",
+                              "huge-color", "parse-first"])
 def test_map_failure_in_the_last_block(tmp_path, capsys, monkeypatch, cpus,
                                        direction, head, tail, offset, exit_code, message):
     body = head + _weight_8_text(direction)

@@ -12,7 +12,6 @@ from fussforest.series import (
     TruncatedSeries,
     colored_tree_series,
     forest_expansion_series,
-    fuss_catalan_power_coefficients,
     fuss_catalan_series,
     geometric_series_power,
 )
@@ -185,11 +184,11 @@ def test_colored_tree_series_functional_equation_cleared_form():
 
 
 def test_power_coefficients_match_forest_counts():
-    assert fuss_catalan_power_coefficients(2, 1, 10) == [k_catalan(i, 2) for i in range(11)]
-    assert fuss_catalan_power_coefficients(3, 2, 6)[1] == 2
+    assert list((fuss_catalan_series(2, 10) ** 1).coeffs) == [k_catalan(i, 2) for i in range(11)]
+    assert (fuss_catalan_series(3, 6) ** 2).coeffs[1] == 2
     for k in (2, 3, 5):
         for m in range(1, 7):
-            coeffs = fuss_catalan_power_coefficients(k, m, 20)
+            coeffs = list((fuss_catalan_series(k, 20) ** m).coeffs)
             assert coeffs == [forest_catalan(p, k, m) for p in range(21)]
 
 

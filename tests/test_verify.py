@@ -11,7 +11,7 @@ import signal
 import pytest
 
 from fussforest import bijection, cli, series, trees, verify
-from fussforest.exact import Identity, Side
+from fussforest.exact import Identity, Side, identity_side
 from fussforest.trees import LEAF, leaf
 from fussforest.verify import CheckResult
 
@@ -191,20 +191,37 @@ def test_quinary_three_way_report():
 def test_quinary_three_way_failure_shows_series_and_rhs_against_lhs(monkeypatch):
     # The right side is one too large at n=9, m=2 only; the failure shows
     # the series coefficient and the right side against the left side.
-    real = verify.identity_side
+    real = verify.identity_sides
 
-    def perturbed(identity, side, n, m=1):
-        value = real(identity, side, n, m)
-        return value + (identity is Identity.QUINARY_FOREST and side is Side.RHS
-                        and (n, m) == (9, 2))
+    def perturbed(identity, side, m=1):
+        for n, value in enumerate(real(identity, side, m)):
+            yield value + (identity is Identity.QUINARY_FOREST and side is Side.RHS
+                           and (n, m) == (9, 2))
 
-    monkeypatch.setattr(verify, "identity_side", perturbed)
+    monkeypatch.setattr(verify, "identity_sides", perturbed)
     report = verify.run_suite("series", order=12, m_max=2)
     assert [c.name for c in report.checks if c.failures] == ["quinary_forest_three_way"]
-    lhs = real(Identity.QUINARY_FOREST, Side.LHS, 9, 2)
+    lhs = identity_side(Identity.QUINARY_FOREST, Side.LHS, 9, 2)
     lines = report.to_text().splitlines()
     at = lines.index("check quinary_forest_three_way [n_max=12 m_max=2]: cases=26 1 FAILED")
     assert lines[at + 1] == f"  first failure: n=9 m=2: expected {lhs}, got {lhs} / {lhs + 1}"
+
+
+def test_every_power_check_reads_every_power(monkeypatch):
+    # The third power repeats the second: each check that sweeps m must fail
+    # at m=3 and only there.
+    real = verify._powers
+
+    def stuck(f, m_max):
+        powers = list(real(f, m_max))
+        return powers[:2] + powers[1:2] + powers[3:]
+
+    monkeypatch.setattr(verify, "_powers", stuck)
+    report = verify.run_suite("series", order=12, m_max=4)
+    failed_at = {c.name: [f.params["m"] for f in c.failures] for c in report.checks if c.failures}
+    assert sorted(failed_at) == ["forest_expansion_route", "power_coefficients_vs_forest_counts",
+                                 "quinary_forest_three_way"]
+    assert all(ms[0] == 3 and set(ms) == {3} for ms in failed_at.values()), failed_at
 
 
 def test_check_seconds_are_recorded_but_never_rendered():
