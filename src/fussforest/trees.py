@@ -233,10 +233,10 @@ def _forests(forms: Sequence[Sequence], n: int, m: int) -> Iterator[tuple]:
 
 
 # The most words a table of `_shape_words` holds.  Tables are built in
-# increasing size until one would pass this cap, so at most cap + 1 words are
-# ever asked of a size without a table: the tables stay near 0.5 MB (binary to
-# size 9, ternary to size 6) and cost milliseconds, and a call for a deep tree
-# still yields its first word at once.
+# increasing size, through the size asked for, until one would pass this cap,
+# so at most cap + 1 words are ever asked of a size without a table: the
+# tables stay near 0.5 MB (binary to size 9, ternary to size 6) and cost
+# milliseconds, and a call for a deep tree still yields its first word at once.
 _TABLE_WORDS = 5000
 
 
@@ -247,25 +247,32 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
     compositions of size - 1 into k parts, ascending: from the right comb to
     the left comb.  So the table of size s, built smallest first, is a root
     before each k-forest of size s - 1 that `_forests` makes of the smaller
-    tables.  A step, in one frame, scans from the right with a stack of
-    subtree sizes; the first vertex whose child sizes step is the last that
-    can, and its children and all subtrees after it restart as right combs.
-    Until a scan next reaches left of them, those pieces run as a Cartesian
-    product, the last fastest, so the longest suffix of them whose sizes have
-    a table comes from `itertools.product` over the tables, and stepping
-    resumes from the last word of each.
+    tables.  One loop makes every word.  Each pass restarts the pieces after
+    a head: the longest suffix of them whose sizes have a table runs as a
+    Cartesian product of the tables, the last fastest, and the rest are
+    right combs.  The first pass restarts the whole tree, so a size with a
+    table is read from it.  Then a step, in one frame, scans from the right
+    with a stack of subtree sizes; the first vertex whose child sizes step
+    is the last that can, and its children and all subtrees after it are
+    the next pass's pieces.
     """
     tables = [["0"]]
-    while len(tables) < p:
+    while len(tables) <= p:
         forests = _forests(tables, len(tables) - 1, k)
         table = ["1" + "".join(f) for f in itertools.islice(forests, _TABLE_WORDS + 1)]
         if len(table) > _TABLE_WORDS:
             break
         tables.append(table)
     unit = "1" + "0" * (k - 1)
-    word = unit * p + "0"
-    yield word
+    head, pieces = "", [p]
     while True:
+        cut = len(pieces)
+        while cut and pieces[cut - 1] < len(tables):
+            cut -= 1
+        prefix = head + "".join(unit * s + "0" for s in pieces[:cut])
+        tail = [tables[s] for s in pieces[cut:]]
+        yield from map(prefix.__add__, map("".join, itertools.product(*tail)))
+        word = prefix + "".join(table[-1] for table in tail)
         sizes = []  # internal sizes of the subtrees right of the scan, the nearest last
         for index in range(len(word) - 1, -1, -1):
             if word[index] == "1":
@@ -278,14 +285,7 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
                 sizes.append(0)
         else:
             return
-        pieces = children + sizes[::-1]
-        cut = len(pieces)
-        while cut and pieces[cut - 1] < len(tables):
-            cut -= 1
-        prefix = word[:index] + "1" + "".join(unit * s + "0" for s in pieces[:cut])
-        tail = [tables[s] for s in pieces[cut:]]
-        yield from map(prefix.__add__, map("".join, itertools.product(*tail)))
-        word = prefix + "".join(table[-1] for table in tail)
+        head, pieces = word[:index] + "1", children + sizes[::-1]
 
 
 def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
@@ -557,20 +557,23 @@ def parse_binary_word(text: str) -> str:
                 above.append(need - 1)
                 need = 2
             else:
-                raise _binary_error(text, index, "'L' or '('")
+                raise _token_error(_NOT_BLANK, text, index, "'L' or '('")
         elif ch == ")" and above:
             need = above.pop()
         else:
-            raise _binary_error(text, index, "')'" if above else "end of input")
+            raise _token_error(_NOT_BLANK, text, index, "')'" if above else "end of input")
     if need or above:
         raise ParseError(len(text), "'L' or '('" if need else "')'", "end of input")
     return compact.translate(_BINARY_LETTERS)
 
 
-def _binary_error(text: str, index: int, expected: str) -> ParseError:
-    """The error at the index-th character of `text` that is not a space or tab."""
-    token = next(itertools.islice(_NOT_BLANK.finditer(text), index, None))
-    return _error_at(text, token.start(), expected)
+def _token(pattern: re.Pattern, text: str, index: int) -> re.Match:
+    """The index-th match of `pattern` in `text`, found again to place an error."""
+    return next(itertools.islice(pattern.finditer(text), index, None))
+
+
+def _token_error(pattern: re.Pattern, text: str, index: int, expected: str) -> ParseError:
+    return _error_at(text, _token(pattern, text, index).start(), expected)
 
 
 # One token, which starts at the next character that is not a blank: '(' with
@@ -589,41 +592,32 @@ def parse_ternary_preorder(text: str) -> tuple[int, ...]:
         for index, token in enumerate(_TERNARY_TOKEN.findall(text)):
             if not need:
                 if token != ")" or not above:
-                    raise _ternary_error(text, index, "')'" if above else "end of input")
+                    raise _token_error(_TERNARY_TOKEN, text, index, "')'" if above else "end of input")
                 need = above.pop()
             elif token[0] in _DIGITS:
                 preorder.append(int(token))
                 need -= 1
             elif token[0] != "(":
-                raise _ternary_error(text, index, "a color digit or '('")
+                raise _token_error(_TERNARY_TOKEN, text, index, "a color digit or '('")
             elif token[-1] == ":" and token[-2] in _DIGITS:
                 preorder.append(~int(token[1:-1]))  # int() skips the blanks after '('
                 above.append(need - 1)
                 need = 3
             else:
                 # The color, or the ':' after it, is missing where the token ends.
-                offset = _ternary_token(text, index).end() - (token[-1] == ":")
+                offset = _token(_TERNARY_TOKEN, text, index).end() - (token[-1] == ":")
                 raise _error_at(text, offset, "':' after the color" if token[-1] in _DIGITS
                                 else "an unsigned decimal color")
     except ParseError:
         raise
     except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
         digits = token.lstrip("( \t").rstrip(":")
-        raise ParseError(_ternary_token(text, index).start() + token.index(digits),
+        raise ParseError(_token(_TERNARY_TOKEN, text, index).start() + token.index(digits),
                          f"a color of at most {sys.get_int_max_str_digits()} digits",
                          f"{len(digits)} digits") from None
     if need or above:
         raise ParseError(len(text), "a color digit or '('" if need else "')'", "end of input")
     return tuple(preorder)
-
-
-def _ternary_token(text: str, index: int) -> re.Match:
-    """The index-th token of `text`, matched again to locate an error."""
-    return next(itertools.islice(_TERNARY_TOKEN.finditer(text), index, None))
-
-
-def _ternary_error(text: str, index: int, expected: str) -> ParseError:
-    return _error_at(text, _ternary_token(text, index).start(), expected)
 
 
 def parse_binary(text: str) -> BinaryTree:

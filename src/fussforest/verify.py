@@ -170,8 +170,8 @@ def _identities_suite(n_max: int, m_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _check_tree_bijection(n_max: int):
-    # The public maps on tree objects, so that the conversions around
-    # encode and decode are checked too; the forest check runs on forms.
+    # The forward half checks the public maps on tree objects, and so the
+    # conversions around encode and decode; the rest runs on forms.
     for n in range(n_max + 1):
         words = list(trees.enumerate_binary_words(n, max_n=n_max))
         binary_words = set(words)
@@ -183,10 +183,10 @@ def _check_tree_bijection(n_max: int):
                    word.count("1") == n, word in binary_words, bijection.phi_inverse(b) == t)
             domain.add(t.preorder)
             images.append(word)
-        for b in map(trees.binary_from_word, words):
-            t = bijection.phi_inverse(b)
-            yield (lambda: {"n": n, "tree": trees.serialize(b)}, True,
-                   t.preorder in domain, bijection.phi(t) == b)
+        for word in words:
+            form = bijection.decode(word)
+            yield (lambda: {"n": n, "tree": trees.binary_word_text(word)}, True,
+                   form in domain, bijection.encode(form) == word)
         # Injective onto: image multiset has no repeats and covers the codomain.
         yield {"n": n, "property": "image_size"}, k_catalan(n, 2), len(images)
         yield {"n": n, "property": "image_distinct"}, len(images), len(set(images))

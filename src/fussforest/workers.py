@@ -103,19 +103,18 @@ def _receive(pid: int, read: int, name: str) -> tuple[list, Exception | None]:
 def run_units(units: list, name: str) -> list:
     """Run zero-argument units that return picklable values; the values in unit order.
 
-    With W = min(units, usable CPUs), W - 1 forked workers and this process
-    share the units: process w runs units w, w + W, ..., so W = 1 is the
-    same loop with no fork.  W is 1 without os.fork, and while other threads
-    run, since a fork copies the locks they may hold.  The exception of the
-    lowest-numbered failing unit is raised here with its own type; a unit
-    whose value a worker cannot pickle fails with a WorkerError that names
-    the pickling error.  `name` says whose workers they are in a WorkerError.
+    With W = min(units, usable CPUs) or 1, W - 1 forked workers and this
+    process share the units: process w runs units w, w + W, ..., so W = 1 is
+    the same loop with no fork.  W is 1 without os.fork, and while other
+    threads run, since a fork copies the locks they may hold.  The exception
+    of the lowest-numbered failing unit is raised here with its own type; a
+    unit whose value a worker cannot pickle fails with a WorkerError that
+    names the pickling error.  `name` says whose workers they are in a
+    WorkerError.
     """
-    if not units:
-        return []
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = min(len(units), usable_cpus())
+        workers = min(len(units), usable_cpus()) or 1
     children = []
     try:
         for w in range(1, workers):

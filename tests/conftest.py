@@ -30,3 +30,21 @@ deep_binary_words = st.builds(
     st.integers(min_value=10_000, max_value=20_000),
     st.integers(min_value=0, max_value=30),
 )
+
+
+@st.composite
+def _uniform_binary_word(draw) -> str:
+    # By the cycle lemma, n "1"s and n + 1 "0"s shuffled have exactly one
+    # rotation that is a preorder word: the one that starts just after the
+    # first minimum of the running sum (+1 for "1", -1 for "0").  So a
+    # uniform shuffle gives a uniform tree, bushy and of depth of order sqrt(n).
+    n = draw(st.integers(min_value=1_000, max_value=5_000))
+    letters = ["1"] * n + ["0"] * (n + 1)
+    draw(st.randoms(use_true_random=True)).shuffle(letters)  # seeded, one draw
+    running = list(itertools.accumulate(1 if letter == "1" else -1 for letter in letters))
+    start = running.index(min(running)) + 1
+    return "".join(letters[start:] + letters[:start])
+
+
+# Uniform binary words with 1000 to 5000 internal vertices.
+wide_binary_words = _uniform_binary_word()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracle_generators
 import oracle_parsers
 import oracle_paths
-from conftest import binary_trees, colored_ternary_trees, deep_binary_words
+from conftest import binary_trees, colored_ternary_trees, deep_binary_words, wide_binary_words
 from fussforest import trees
 from fussforest.bijection import decode, encode
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
@@ -225,13 +225,12 @@ def test_shape_words_match_the_stepwise_oracle_past_the_table_cap():
                 oracle_generators.shape_words_stepwise(p, k)), (k, p)
 
 
-def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
-    # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
-    # host (one step per word took about 1 s).  Tables are built once, in
-    # increasing size, and the first size past the cap gives cap + 1 words.
-    # The table of size s >= 1 is made of the forests of size s - 1, and the
-    # table of size 0, the leaf alone, of none.
-    pulled = {}  # size -> words taken from the forests that build its table
+def _count_table_words(monkeypatch):
+    """Spy on `_forests` as `_shape_words` builds its tables: size -> words
+    pulled to build that size's table, and the list of tables each call saw.
+    The table of size s >= 1 is made of the forests of size s - 1, and the
+    table of size 0, the leaf alone, of none."""
+    pulled = {}
     built = []
     original = trees._forests
 
@@ -248,16 +247,43 @@ def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
         return counted()
 
     monkeypatch.setattr(trees, "_forests", counting)
+    return pulled, built
+
+
+def _last_table_size(k):
+    """The largest size whose k-ary table fits `_TABLE_WORDS`."""
+    return sum(1 for _ in itertools.takewhile(
+        lambda s: k_catalan(s, k) <= _TABLE_WORDS, itertools.count())) - 1
+
+
+def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
+    # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
+    # host (one step per word took about 1 s).  Tables are built once, in
+    # increasing size, and the first size past the cap gives cap + 1 words.
+    pulled, built = _count_table_words(monkeypatch)
     started = time.perf_counter()
     words = enumerate_binary_words(2000, max_n=2000)
     collections.deque(itertools.islice(words, 300_000), maxlen=0)
     assert time.perf_counter() - started < 1.0
-    last = sum(1 for _ in itertools.takewhile(
-        lambda s: k_catalan(s, 2) <= _TABLE_WORDS, itertools.count())) - 1
+    last = _last_table_size(2)
     assert pulled == {**{s: k_catalan(s, 2) for s in range(1, last + 1)},
                       last + 1: _TABLE_WORDS + 1}
     assert all(tables is built[0] for tables in built)
     assert [len(table) for table in built[0]] == [k_catalan(s, 2) for s in range(last + 1)]
+
+
+def test_shape_words_read_a_size_with_a_table_from_it(monkeypatch):
+    # Tables are built through the size asked for, so a size with a table
+    # comes from it; the first size past the cap tries its table and stops
+    # at cap + 1 words.
+    pulled, _ = _count_table_words(monkeypatch)
+    for k in (2, 3):
+        last = _last_table_size(k)
+        for p in range(last + 2):
+            pulled.clear()
+            assert sum(1 for _ in _shape_words(p, k)) == k_catalan(p, k)
+            full = {s: k_catalan(s, k) for s in range(1, min(p, last) + 1)}
+            assert pulled == (full if p <= last else {**full, p: _TABLE_WORDS + 1}), (k, p)
 
 
 def _every_forest(family):
@@ -514,6 +540,17 @@ def test_deep_trees_check_and_compare_without_recursion():
     assert tree != ternary_from_preorder(preorder[:-1] + (4,))
     assert tree.children == (leaf(0), leaf(2), ternary_from_preorder(preorder[3:]))
     assert serialize(tree) == "(1: 0 2 " * depth + "3" + ")" * depth
+
+
+@settings(max_examples=75, deadline=None)
+@given(wide_binary_words)
+def test_text_and_code_round_trips_on_wide_words(word):
+    assert validate(binary_from_word(word), BINARY).ok
+    assert parse_binary_word(binary_word_text(word)) == word
+    preorder = decode(word)
+    assert validate(ternary_from_preorder(preorder), COLORED_TERNARY).ok
+    assert parse_ternary_preorder(ternary_preorder_text(preorder)) == preorder
+    assert encode(preorder) == word
 
 
 @settings(max_examples=8, deadline=None)

@@ -25,7 +25,10 @@ def test_plain_values_come_back_in_unit_order_from_two_processes(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_no_units_give_no_values():
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_no_units_give_no_values(monkeypatch, cpus):
+    # At one and at two usable CPUs, no units run the one-process loop.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     assert workers.run_units([], "test") == []
 
 
