@@ -122,10 +122,7 @@ def colored_ternary_count(n: int, p: int) -> Count:
 def _exact_steps(term: int, numerators, denominators):
     """Yield term * a / b, from each term the next, every division checked exact."""
     for a, b in zip(numerators, denominators):
-        product = term * a
-        term, remainder = divmod(product, b)
-        if remainder:
-            raise ExactnessError(f"{product} is not divisible by {b} (remainder {remainder})")
+        term = _exact_div(term * a, b)
         yield term
 
 

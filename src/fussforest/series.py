@@ -10,7 +10,9 @@ functional equation or with a closed form lives in `verify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
 from .exact import _exact_div, binomial, forest_catalan, identity_side  # noqa: F401
@@ -50,46 +52,29 @@ class TruncatedSeries:
         return other
 
     def __add__(self, other) -> TruncatedSeries:
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return TruncatedSeries(tuple(map(add, self.coeffs, self._coerce(other).coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> TruncatedSeries:
-        other = self._coerce(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return TruncatedSeries(tuple(map(sub, self.coeffs, self._coerce(other).coeffs)))
 
     def __mul__(self, other) -> TruncatedSeries:
+        """The Cauchy product, to the smaller order; an int scales every coefficient."""
         if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs))
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(tuple(sum(map(mul, a[:i + 1], b[i::-1]))
+                                     for i in range(min(len(a), len(b)))))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
+        """The running product 1 * self * self * ..., as `verify` takes its powers:
+        the cost is linear in the exponent, one product per factor."""
         if exponent < 0:
             raise ValueError("only nonnegative powers are defined")
-        result = TruncatedSeries.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return reduce(mul, repeat(self, exponent), TruncatedSeries.constant(1, self.order))
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by x^k, keeping the truncation order."""
@@ -161,8 +146,5 @@ def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
     """
     if m < 1:
         raise ValueError(f"forest_expansion_series requires m >= 1, got {m}")
-    total = TruncatedSeries.constant(0, order)
-    for p in range(order // 2 + 1):
-        term = geometric_series_power(3 * p + m, order).shift(2 * p) * forest_catalan(p, 3, m)
-        total = total + term
-    return total
+    return sum((geometric_series_power(3 * p + m, order).shift(2 * p) * forest_catalan(p, 3, m)
+                for p in range(order // 2 + 1)), TruncatedSeries.constant(0, order))

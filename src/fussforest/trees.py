@@ -30,6 +30,7 @@ recursion, so no tree depth reaches Python's recursion limit.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import os
 import re
@@ -233,10 +234,11 @@ def _forests(forms: Sequence[Sequence], n: int, m: int) -> Iterator[tuple]:
 
 
 # The most words a table of `_shape_words` holds.  Tables are built in
-# increasing size, through the size asked for, until one would pass this cap,
-# so at most cap + 1 words are ever asked of a size without a table: the
-# tables stay near 0.5 MB (binary to size 9, ternary to size 6) and cost
-# milliseconds, and a call for a deep tree still yields its first word at once.
+# increasing size, through the size asked for, until one would pass this cap.
+# A size's word count is known from the smaller tables' lengths before its
+# table is built, so no table past the cap is started: the tables stay near
+# 0.5 MB (binary to size 9, ternary to size 6) and cost milliseconds, and a
+# call for a deep tree still yields its first word at once.
 _TABLE_WORDS = 5000
 
 
@@ -247,7 +249,8 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
     compositions of size - 1 into k parts, ascending: from the right comb to
     the left comb.  So the table of size s, built smallest first, is a root
     before each k-forest of size s - 1 that `_forests` makes of the smaller
-    tables.  One loop makes every word.  Each pass restarts the pieces after
+    tables, and its length is the same walk over their lengths, summing the
+    products.  One loop makes every word.  Each pass restarts the pieces after
     a head: the longest suffix of them whose sizes have a table runs as a
     Cartesian product of the tables, the last fastest, and the rest are
     right combs.  The first pass restarts the whole tree, so a size with a
@@ -258,11 +261,10 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
     """
     tables = [["0"]]
     while len(tables) <= p:
-        forests = _forests(tables, len(tables) - 1, k)
-        table = ["1" + "".join(f) for f in itertools.islice(forests, _TABLE_WORDS + 1)]
-        if len(table) > _TABLE_WORDS:
+        size = len(tables) - 1
+        if sum(map(math.prod, _forests([[len(t)] for t in tables], size, k))) > _TABLE_WORDS:
             break
-        tables.append(table)
+        tables.append(["1" + "".join(f) for f in _forests(tables, size, k)])
     unit = "1" + "0" * (k - 1)
     head, pieces = "", [p]
     while True:

@@ -1,6 +1,6 @@
 """Closed-form counting kernel: frozen small values, oracles, and invariants."""
 
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,6 +222,21 @@ def test_a_row_step_that_does_not_divide_raises():
     assert list(islice(exact._rows(good, 1), 3)) == [[1], [1], [1, 1]]
     with pytest.raises(ExactnessError):
         next(islice(exact._rows(wrong, 1), 1, None))
+
+
+def test_a_p_step_that_does_not_divide_raises():
+    # The by-parts ratio with its first denominator one larger: still a
+    # finite ratio, but at n = 2 term 1 would be 1 * 6 // 7 = 0, with no error.
+    good = exact._SIDES[Identity.TERNARY_FOREST][0]
+
+    def larger_first(n, m, p):
+        numerators, denominators = good.p_ratio(n, m, p)
+        return numerators, chain([next(denominators) + 1], denominators)
+
+    wrong = good._replace(p_ratio=larger_first)
+    assert list(exact._terms(good, 2, 1)) == [1, 1]
+    with pytest.raises(ExactnessError):
+        list(exact._terms(wrong, 2, 1))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])

@@ -1,11 +1,11 @@
 """Truncated series engine: arithmetic, substitutions, coefficient cross-checks."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracle_series as oracle
 
-from fussforest import exact, series
+from fussforest import exact, series, verify
 from fussforest.exact import (colored_ternary_count, forest_catalan, identity_side, k_catalan,
                               Identity, Side)
 from fussforest.series import (
@@ -99,6 +99,31 @@ def test_compose_is_associative(outer, mid, inner):
 def test_mul_is_commutative_and_distributive(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+big_coefficient = st.one_of(st.just(0), st.integers(min_value=-10**30, max_value=10**30))
+sparse_series = st.lists(big_coefficient, min_size=1, max_size=12).map(S)
+
+
+@settings(max_examples=300)
+@given(sparse_series, sparse_series, st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=0, max_value=9))
+def test_arithmetic_matches_the_loop_oracle(a, b, c, e):
+    # Orders differ and many coefficients are 0, so truncation to the smaller
+    # order and the oracle's zero skipping both run.
+    n = min(a.order, b.order)
+    assert a * b == oracle.product(a, b)
+    assert a ** e == oracle.power(a, e)
+    assert a + b == S([a[i] + b[i] for i in range(n + 1)])
+    assert a - b == S([a[i] - b[i] for i in range(n + 1)])
+    assert a * c == c * a == S([a[i] * c for i in range(a.order + 1)])
+    assert a + c == c + a == S([a[0] + c] + [a[i] for i in range(1, a.order + 1)])
+    assert [a ** m for m in range(1, e + 1)] == list(verify._powers(a, e))
+
+
+def test_a_negative_power_is_refused():
+    with pytest.raises(ValueError):
+        S([1, 1]) ** -1
 
 
 def test_fuss_catalan_series_values():

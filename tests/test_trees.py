@@ -229,13 +229,16 @@ def _count_table_words(monkeypatch):
     """Spy on `_forests` as `_shape_words` builds its tables: size -> words
     pulled to build that size's table, and the list of tables each call saw.
     The table of size s >= 1 is made of the forests of size s - 1, and the
-    table of size 0, the leaf alone, of none."""
+    table of size 0, the leaf alone, of none.  Only the calls that build a
+    table are recorded, not those that count its words from the table lengths."""
     pulled = {}
     built = []
     original = trees._forests
 
     def counting(tables, n, k):
         forests = original(tables, n, k)
+        if tables[0] != ["0"]:
+            return forests
         built.append(tables)
         assert n + 1 not in pulled and n + 1 == len(tables)
         pulled[n + 1] = 0
@@ -259,31 +262,28 @@ def _last_table_size(k):
 def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
     # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
     # host (one step per word took about 1 s).  Tables are built once, in
-    # increasing size, and the first size past the cap gives cap + 1 words.
+    # increasing size, and no word of the first size past the cap is pulled.
     pulled, built = _count_table_words(monkeypatch)
     started = time.perf_counter()
     words = enumerate_binary_words(2000, max_n=2000)
     collections.deque(itertools.islice(words, 300_000), maxlen=0)
     assert time.perf_counter() - started < 1.0
     last = _last_table_size(2)
-    assert pulled == {**{s: k_catalan(s, 2) for s in range(1, last + 1)},
-                      last + 1: _TABLE_WORDS + 1}
+    assert pulled == {s: k_catalan(s, 2) for s in range(1, last + 1)}
     assert all(tables is built[0] for tables in built)
     assert [len(table) for table in built[0]] == [k_catalan(s, 2) for s in range(last + 1)]
 
 
 def test_shape_words_read_a_size_with_a_table_from_it(monkeypatch):
     # Tables are built through the size asked for, so a size with a table
-    # comes from it; the first size past the cap tries its table and stops
-    # at cap + 1 words.
+    # comes from it; the first size past the cap is counted, not started.
     pulled, _ = _count_table_words(monkeypatch)
     for k in (2, 3):
         last = _last_table_size(k)
         for p in range(last + 2):
             pulled.clear()
             assert sum(1 for _ in _shape_words(p, k)) == k_catalan(p, k)
-            full = {s: k_catalan(s, k) for s in range(1, min(p, last) + 1)}
-            assert pulled == (full if p <= last else {**full, p: _TABLE_WORDS + 1}), (k, p)
+            assert pulled == {s: k_catalan(s, k) for s in range(1, min(p, last) + 1)}, (k, p)
 
 
 def _every_forest(family):
