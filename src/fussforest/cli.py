@@ -17,9 +17,9 @@ a parse error's offset counts bytes, and a byte that is not ASCII is a parse
 error.  It cuts the input at line ends into blocks of about equal size, at
 most one per usable CPU and none much under ``_MIN_BLOCK_BYTES``, and each
 worker parses, maps and renders its block.  It writes only once every block
-has succeeded, so a line that fails (exit 4, 5 or 6) leaves no output, and
-the error is the one a single pass would meet first: any line that does not
-parse before any that does not map.
+has succeeded, so a line that fails (exit 4, 5 or 6) leaves no output.  The
+first line that does not parse wins over every other failure, a worker that
+died included; failing that, the first failing block's error wins.
 """
 
 from __future__ import annotations
@@ -178,22 +178,14 @@ def _line_blocks(text: str, count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list | Exception:
-    """Parse, map and render the lines of text[start:end], one block of `map`.
-
-    A ParseError is raised with its offset in the whole text.  An error in
-    mapping or rendering is returned, and `cmd_map` raises it once no block
-    has a line that does not parse, so that the first bad line wins in the
-    order a single pass would meet it: every parse error before any map error.
-    """
+def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list:
+    """Parse, map and render the lines of text[start:end], one block of `map`;
+    a ParseError is raised with its offset in the whole text."""
     try:
         forms = trees.parse_forest_forms(text[start:end], source)
     except ParseError as err:
         raise ParseError(start + err.offset, err.expected, err.found) from None
-    try:
-        return list(render(map(apply_map, forms), first=text.count("\n", 0, start)))
-    except Exception as err:
-        return err
+    return list(render(map(apply_map, forms), first=text.count("\n", 0, start)))
 
 
 def cmd_map(args) -> int:
@@ -214,9 +206,12 @@ def cmd_map(args) -> int:
     count = min(workers.usable_cpus(), len(text) // _MIN_BLOCK_BYTES) or 1
     units = [partial(_map_block, text, start, end, source, apply_map, render)
              for start, end in _line_blocks(text, count)]
-    try:
-        blocks = workers.run_units(units, "map")
-    except ParseError as err:
+    blocks = workers.run_units(units, "map")
+    # A line that does not parse wins over every other failure, as in a pass that parses
+    # every line before it maps any; failing that, the first failing block's error wins.
+    errors = [block for block in blocks if isinstance(block, Exception)]
+    err = min(errors, key=lambda error: not isinstance(error, ParseError), default=None)
+    if isinstance(err, ParseError):
         line_no = text.count("\n", 0, err.offset)
         end = text.find("\n", err.offset)
         line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
@@ -226,10 +221,9 @@ def cmd_map(args) -> int:
         except ParseError:
             raise err from None
         raise FamilyMismatchError(
-            f"line {line_no + 1} parses as the opposite family; check --direction") from None
-    for block in blocks:  # every image before any output
-        if isinstance(block, Exception):
-            raise block
+            f"line {line_no + 1} parses as the opposite family; check --direction")
+    if err is not None:
+        raise err
     _emit(args, itertools.chain.from_iterable(blocks), "mapped")
     return EXIT_OK
 

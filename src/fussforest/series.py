@@ -70,11 +70,13 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
-        """The running product 1 * self * self * ..., as `verify` takes its powers:
-        the cost is linear in the exponent, one product per factor."""
+        """The running product self * self * ..., as `verify` takes its powers:
+        exponent - 1 products for exponent >= 1, and the constant 1 for 0."""
         if exponent < 0:
             raise ValueError("only nonnegative powers are defined")
-        return reduce(mul, repeat(self, exponent), TruncatedSeries.constant(1, self.order))
+        if exponent == 0:
+            return TruncatedSeries.constant(1, self.order)
+        return reduce(mul, repeat(self, exponent - 1), self)
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by x^k, keeping the truncation order."""

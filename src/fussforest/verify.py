@@ -394,5 +394,8 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
             if value < _LEAST_BOUNDS[key]:
                 raise ValueError(f"suite {name} needs {key} >= {_LEAST_BOUNDS[key]}, got {value}")
         units += [partial(_run_check, *row) for row in build(**bounds)]
-    return VerificationReport(suite, run_units(units, "verify"),
-                              elapsed_seconds=time.perf_counter() - started)
+    outcomes = run_units(units, "verify")
+    for outcome in outcomes:  # the first check that raised fails the run
+        if isinstance(outcome, Exception):
+            raise outcome
+    return VerificationReport(suite, outcomes, elapsed_seconds=time.perf_counter() - started)

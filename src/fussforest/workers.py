@@ -1,9 +1,10 @@
 """Forked workers: zero-argument units run one share per usable CPU.
 
 `verify` runs its checks here and `map` its blocks of lines.  Units share
-nothing, so each process runs its share and sends back what the units
-returned, pickled over a pipe; the caller gets the values in unit order,
-the same for any number of workers.
+nothing, so each process runs every unit of its share and sends back their
+outcomes, pickled over a pipe: what each unit returned, or the exception it
+raised.  The caller gets one outcome per unit in unit order, the same for
+any number of workers, and decides itself which failure wins.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import threading
 
 
 class WorkerError(RuntimeError):
-    """A worker could not be started, could not send a value or an error, or
-    ended without sending its results."""
+    """A worker could not be started, could not send an outcome, or ended
+    without sending its outcomes."""
 
 
 def usable_cpus() -> int:
@@ -24,48 +25,43 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_share(units: list) -> tuple[list, Exception | None]:
-    """Run units in order until one raises: their values, and that exception."""
-    values = []
+def _outcome(unit):
+    """What the unit returns, or the exception it raises."""
     try:
-        for unit in units:
-            values.append(unit())
+        return unit()
     except Exception as err:
-        return values, err
-    return values, None
+        return err
 
 
-def _pickled(values: list, error: Exception | None, name: str) -> bytes:
-    """What a worker sends back, pickled: `_run_share`'s values and error.
+def _pickled(outcomes: list, name: str) -> bytes:
+    """What a worker sends back, pickled: its units' outcomes.
 
-    If a value does not pickle, the values before it go, with a WorkerError
-    naming its pickling error in place of the error.  An error that does not
-    pickle, or pickles but does not load, goes as a WorkerError with its text.
+    An outcome that does not pickle, or pickles but does not load, goes as a
+    WorkerError in its place: with its text for an exception, naming its
+    pickling error for a value.
     """
     import pickle  # here, so that start-up does not pay for it
 
     try:
-        data = pickle.dumps((values, error))
+        data = pickle.dumps(outcomes)
         pickle.loads(data)  # some exceptions pickle but do not load
         return data
     except Exception:
         pass
-    for i, value in enumerate(values):
+    for i, outcome in enumerate(outcomes):
         try:
-            pickle.loads(pickle.dumps(value))
+            pickle.loads(pickle.dumps(outcome))
         except Exception as err:
-            values = values[:i]
-            error = WorkerError(f"a {name} unit returned a value that cannot be sent: "
-                                f"{type(err).__name__}: {err}")
-            break
-    else:
-        error = WorkerError(f"{type(error).__name__}: {error}")
-    return pickle.dumps((values, error))
+            outcomes[i] = WorkerError(
+                f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception)
+                else f"a {name} unit returned a value that cannot be sent: "
+                     f"{type(err).__name__}: {err}")
+    return pickle.dumps(outcomes)
 
 
 def _fork(units: list, name: str) -> tuple[int, int]:
     """Start a worker that runs the units and writes what `_pickled` makes
-    of their values into a pipe; return its pid and the pipe's read end."""
+    of their outcomes into a pipe; return its pid and the pipe's read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -76,7 +72,7 @@ def _fork(units: list, name: str) -> tuple[int, int]:
     if pid == 0:
         try:
             os.close(read)
-            data = _pickled(*_run_share(units), name)
+            data = _pickled(list(map(_outcome, units)), name)
             with open(write, "wb") as stream:
                 stream.write(data)
         finally:
@@ -85,8 +81,9 @@ def _fork(units: list, name: str) -> tuple[int, int]:
     return pid, read
 
 
-def _receive(pid: int, read: int, name: str) -> tuple[list, Exception | None]:
-    """Drain a worker's pipe, reap the worker, and return what it sent."""
+def _receive(pid: int, read: int, count: int, name: str) -> list:
+    """Drain a worker's pipe, reap the worker, and return the outcomes of its
+    `count` units: what it sent, or one WorkerError each if it sent nothing."""
     import pickle
 
     with open(read, "rb") as stream:
@@ -97,39 +94,33 @@ def _receive(pid: int, read: int, name: str) -> tuple[list, Exception | None]:
     except Exception:
         code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
-        return [], WorkerError(f"{name} worker {pid} {how} before it sent its results")
+        return [WorkerError(f"{name} worker {pid} {how} before it sent its results")] * count
 
 
 def run_units(units: list, name: str) -> list:
-    """Run zero-argument units that return picklable values; the values in unit order.
+    """Run zero-argument units that return picklable values, not exceptions;
+    one outcome per unit, in unit order: its value, or the exception it raised.
 
     With W = min(units, usable CPUs) or 1, W - 1 forked workers and this
-    process share the units: process w runs units w, w + W, ..., so W = 1 is
-    the same loop with no fork.  W is 1 without os.fork, and while other
-    threads run, since a fork copies the locks they may hold.  The exception
-    of the lowest-numbered failing unit is raised here with its own type; a
-    unit whose value a worker cannot pickle fails with a WorkerError that
-    names the pickling error.  `name` says whose workers they are in a
-    WorkerError.
+    process share the units: process w runs units w, w + W, ..., every one of
+    them even after one raises, so W = 1 is the same loop with no fork.  W is
+    1 without os.fork, and while other threads run, since a fork copies the
+    locks they may hold.  A worker's outcome that cannot be sent back, and
+    each outcome of a worker that died before it sent them, is a WorkerError.
+    Only a worker that cannot be started raises one here.  `name` says whose
+    workers they are in a WorkerError.
     """
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
         workers = min(len(units), usable_cpus()) or 1
+    outcomes = [None] * len(units)
     children = []
     try:
         for w in range(1, workers):
-            children.append(_fork(units[w::workers], name))
-        mine = _run_share(units[::workers])
+            children.append((w, *_fork(units[w::workers], name)))
+        outcomes[::workers] = map(_outcome, units[::workers])
     finally:
         # On every way out, so that no pipe stays open and no worker unreaped.
-        received = [_receive(pid, read, name) for pid, read in children]
-    ordered = [None] * len(units)
-    failed = []
-    for w, (values, error) in enumerate([mine, *received]):
-        for i, value in enumerate(values):
-            ordered[w + i * workers] = value
-        if error is not None:
-            failed.append((w + len(values) * workers, error))
-    if failed:
-        raise min(failed, key=lambda pair: pair[0])[1]
-    return ordered
+        for w, pid, read in children:
+            outcomes[w::workers] = _receive(pid, read, len(outcomes[w::workers]), name)
+    return outcomes

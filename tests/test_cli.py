@@ -501,6 +501,26 @@ def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
     assert not dst.exists()
 
 
+@needs_fork
+def test_a_line_that_does_not_parse_wins_over_a_killed_map_worker(tmp_path, capsys, monkeypatch):
+    # Three blocks at three CPUs: the caller maps the first, the worker that
+    # maps the second is killed, and the last block's bad line is met in parsing.
+    caller = os.getpid()
+
+    def encode_or_die(form):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return encode(form)
+
+    monkeypatch.setattr(cli, "encode", encode_or_die)
+    body = _weight_8_text("t2b") * 2
+    src = tmp_path / "in.txt"
+    src.write_text(body + "(1: 0 0)\n", encoding="ascii")
+    code, out, err, forks = _map_at(capsys, monkeypatch, 3, src, "t2b")
+    assert (code, out, forks) == (EXIT_PARSE, "", 2)
+    assert err == f"error: offset {len(body) + 7}: expected a color digit or '(', found ')'\n"
+
+
 def test_verify_small_suite_passes(capsys):
     code, out, err = run(capsys, "verify", "--suite", "identities", "--n-max", "10",
                          "--m-max", "2")

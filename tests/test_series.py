@@ -121,6 +121,22 @@ def test_arithmetic_matches_the_loop_oracle(a, b, c, e):
     assert [a ** m for m in range(1, e + 1)] == list(verify._powers(a, e))
 
 
+def test_a_power_costs_one_product_fewer_than_its_exponent(monkeypatch):
+    products = []
+    real_mul = TruncatedSeries.__mul__
+
+    def counted_mul(a, b):
+        products.append(None)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+    f = colored_tree_series(3, 16)
+    for e in range(6):
+        products.clear()
+        assert f ** e == oracle.power(f, e)
+        assert len(products) == max(e - 1, 0)
+
+
 def test_a_negative_power_is_refused():
     with pytest.raises(ValueError):
         S([1, 1]) ** -1
@@ -212,7 +228,7 @@ def test_power_coefficients_match_forest_counts():
     assert list((fuss_catalan_series(2, 10) ** 1).coeffs) == [k_catalan(i, 2) for i in range(11)]
     assert (fuss_catalan_series(3, 6) ** 2).coeffs[1] == 2
     for k in (2, 3, 5):
-        for m in range(1, 7):
+        for m in range(1, 65):
             coeffs = list((fuss_catalan_series(k, 20) ** m).coeffs)
             assert coeffs == [forest_catalan(p, k, m) for p in range(21)]
 

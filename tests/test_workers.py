@@ -1,6 +1,8 @@
 """The forked-worker runner that `verify` and `map` share."""
 
 import os
+import re
+import signal
 
 import pytest
 
@@ -41,12 +43,60 @@ def test_a_value_that_does_not_pickle_is_reported_by_its_own_error(monkeypatch):
         raise ValueError("unit 2")
 
     units = [lambda: 0, lambda: (lambda: 1), lambda: 2, lambda: 3]
-    with pytest.raises(workers.WorkerError,
-                       match="^a test unit returned a value that cannot be sent: "):
-        workers.run_units(units, "test")
-    # The values before it are sent, so a failure at a lower unit still wins.
+    outcomes = workers.run_units(units, "test")
+    assert [outcomes[i] for i in (0, 2, 3)] == [0, 2, 3]
+    assert type(outcomes[1]) is workers.WorkerError
+    assert str(outcomes[1]).startswith("a test unit returned a value that cannot be sent: ")
+    # Each outcome stands in its own place: the error that unit 2 raised, and
+    # the value of unit 3 that the worker cannot send.
     units = [lambda: 0, lambda: 1, fails, lambda: (lambda: 3)]
-    with pytest.raises(ValueError, match="^unit 2$"):
-        workers.run_units(units, "test")
+    outcomes = workers.run_units(units, "test")
+    assert outcomes[:2] == [0, 1]
+    assert type(outcomes[2]) is ValueError and str(outcomes[2]) == "unit 2"
+    assert type(outcomes[3]) is workers.WorkerError
+    assert str(outcomes[3]).startswith("a test unit returned a value that cannot be sent: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
+def test_a_unit_that_raises_does_not_stop_the_later_units_of_its_process(monkeypatch, cpus):
+    if len(cpus) > 1 and not hasattr(os, "fork"):
+        pytest.skip("workers are forked")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    def fails(i):
+        def unit():
+            raise KeyError(i)
+        return unit
+
+    # Units 0 and 1 raise, one in each process at two CPUs; every later unit still runs.
+    units = [fails(0), fails(1), *(lambda i=i: i for i in range(2, 6))]
+    outcomes = workers.run_units(units, "test")
+    assert [type(outcome) for outcome in outcomes[:2]] == [KeyError, KeyError]
+    assert [outcome.args for outcome in outcomes[:2]] == [(0,), (1,)]
+    assert outcomes[2:] == [2, 3, 4, 5]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_each_unit_of_a_killed_worker_comes_back_as_an_error_that_names_it(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = os.getpid()
+
+    def unit(i):
+        def run():
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+        return run
+
+    outcomes = workers.run_units([unit(i) for i in range(5)], "test")
+    assert outcomes[::2] == [0, 2, 4]
+    for outcome in outcomes[1::2]:
+        assert type(outcome) is workers.WorkerError
+        assert re.fullmatch(rf"test worker \d+ was killed by signal {int(signal.SIGKILL)} "
+                            "before it sent its results", str(outcome))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
