@@ -10,58 +10,52 @@ The package provides four layers that double-check each other:
 - a truncated power-series engine for the generating-function route.
 
 ``python -m fussforest verify --suite all`` runs every cross-check.
+
+The public names below are loaded on first use (PEP 562): ``import
+fussforest`` loads no submodule, and ``fussforest.phi`` loads only
+:mod:`fussforest.bijection` and what it imports.
 """
 
-from .exact import (
-    Count,
-    ExactnessError,
-    Identity,
-    Side,
-    binomial,
-    colored_ternary_count,
-    forest_catalan,
-    identity_side,
-    k_catalan,
-)
-from .trees import (
-    BINARY,
-    COLORED_TERNARY,
-    LEAF,
-    BinaryTree,
-    ColoredTernaryTree,
-    ParseError,
-    SizeCapError,
-    ValidationReport,
-    binary_from_word,
-    binary_word_text,
-    color_sum,
-    enumerate_binary,
-    enumerate_binary_words,
-    enumerate_colored_ternary,
-    enumerate_forest_forms,
-    enumerate_forests,
-    enumerate_ternary_preorders,
-    form_dot,
-    internal_count,
-    leaf,
-    node,
-    parse_binary,
-    parse_binary_word,
-    parse_forest_forms,
-    parse_ternary,
-    parse_ternary_preorder,
-    serialize,
-    ternary_from_preorder,
-    ternary_preorder_text,
-    ternary_weight,
-    validate,
-)
-from .bijection import decode, encode, phi, phi_inverse
-from .series import (
-    TruncatedSeries,
-    colored_tree_series,
-    forest_expansion_series,
-    fuss_catalan_series,
-    geometric_series_power,
-)
-from .verify import VerificationReport, run_suite
+from importlib import import_module
+
+# Each submodule and the public names it provides, in the order of __all__.
+_EXPORTS = {
+    "exact": (
+        "Count", "ExactnessError", "Identity", "Side", "binomial", "colored_ternary_count",
+        "forest_catalan", "identity_side", "k_catalan",
+    ),
+    "trees": (
+        "BINARY", "COLORED_TERNARY", "LEAF", "BinaryTree", "ColoredTernaryTree", "ParseError",
+        "SizeCapError", "ValidationReport", "binary_from_word", "binary_word_text", "color_sum",
+        "enumerate_binary", "enumerate_binary_words", "enumerate_colored_ternary",
+        "enumerate_forest_forms", "enumerate_forests", "enumerate_ternary_preorders", "form_dot",
+        "internal_count", "leaf", "node", "parse_binary", "parse_binary_word",
+        "parse_forest_forms", "parse_ternary", "parse_ternary_preorder", "serialize",
+        "ternary_from_preorder", "ternary_preorder_text", "ternary_weight", "validate",
+    ),
+    "bijection": ("decode", "encode", "phi", "phi_inverse"),
+    "series": (
+        "TruncatedSeries", "colored_tree_series", "forest_expansion_series", "fuss_catalan_series",
+        "geometric_series_power",
+    ),
+    "verify": ("VerificationReport", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet, so `fussforest.trees` needs no import
+        return import_module(f"{__name__}.{name}")
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find the name without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,9 @@ stderr.  ``verify`` runs its checks, and ``map`` its blocks of lines, in
 forked workers, one per usable CPU, and their output is the same for any
 number of them.  When the reader of stdout goes away early (as in
 ``fussforest enumerate ... | head -1``), the command stops quietly with
-exit 0: what was written is all the reader asked for.
+exit 0: what was written is all the reader asked for.  Each command
+imports the modules that only it uses (``number`` the exact counts,
+``verify`` the verification suites), so start-up loads no more.
 
 ``map`` reads its input as ASCII bytes, the same from a file and from stdin:
 a parse error's offset counts bytes, and a byte that is not ASCII is a parse
@@ -27,15 +29,13 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
-import json
 import os
 import sys
 from functools import partial
 
-from . import trees, verify, workers
+from . import trees, workers
 # phi and phi_inverse go unused here; perfbench/spans.py wraps them under these names.
 from .bijection import decode, encode, phi, phi_inverse  # noqa: F401
-from .exact import forest_catalan, k_catalan
 from .trees import BINARY, COLORED_TERNARY, ParseError, SizeCapError
 
 EXIT_OK = 0
@@ -47,6 +47,9 @@ EXIT_FAMILY = 5
 EXIT_RESOURCE = 6
 
 FORMATS = ("sexp", "dot", "json")
+# verify.SUITES, written out so that building the parser does not import verify
+# (a test keeps the two equal).
+SUITES = ("identities", "bijection", "series", "counts", "all")
 
 
 class FamilyMismatchError(Exception):
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument("--suite", choices=verify.SUITES, required=True)
+    p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--m-max", type=int, default=None)
     p_verify.add_argument("--order", type=int, default=None)
@@ -103,10 +106,12 @@ def cmd_number(args) -> int:
     # Imported here so that start-up does not pay for it.
     import decimal
 
+    from . import exact
+
     if args.m is None:
-        count = k_catalan(args.n, args.k)
+        count = exact.k_catalan(args.n, args.k)
     else:
-        count = forest_catalan(args.n, args.k, args.m)
+        count = exact.forest_catalan(args.n, args.k, args.m)
     print(str(decimal.Decimal(count)))
     return EXIT_OK
 
@@ -125,6 +130,8 @@ def _render(forms, family: str, fmt: str, first: int = 0):
 def _write(stream, pieces, fmt: str) -> int:
     """Write the pieces `_render` made, JSON items as one array; return how many."""
     if fmt == "json":
+        import json
+
         pieces = list(pieces)
         stream.write(json.dumps(pieces) + "\n")
         return len(pieces)
@@ -229,6 +236,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_suite(args.suite, n_max=args.n_max, m_max=args.m_max, order=args.order)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     sys.stdout.flush()

@@ -35,8 +35,7 @@ import operator
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 DEFAULT_MAX_N = 12
 MAX_N_ENV = "FUSS_FOREST_MAX_N"
@@ -50,14 +49,49 @@ class SizeCapError(ValueError):
     """Refused an enumeration whose size parameter exceeds the configured cap."""
 
 
-@dataclass(frozen=True, init=False)
-class BinaryTree:
+class _Frozen:
+    """An immutable value made of the fields named in `__match_args__`.
+
+    The fields live in the instance dict, in that order, so pickle and
+    `copy` rebuild a value as they would any object.  Two values are equal,
+    and hash alike, when they are of the same class with equal fields; the
+    repr names the class and each field.  Setting or deleting an attribute
+    raises AttributeError.  It stands in for a frozen dataclass, because
+    importing `dataclasses` costs start-up more than this whole module.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _freeze(self, *values) -> None:
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BinaryTree(_Frozen):
     """A complete binary tree, held as its preorder word (see "Preorder forms").
 
     ``BinaryTree()`` is a leaf and ``BinaryTree(left, right)`` an internal
     vertex; see the module docstring.
     """
 
+    __match_args__ = ("word",)
     word: str
 
     def __init__(self, left: BinaryTree | None = None, right: BinaryTree | None = None):
@@ -68,7 +102,7 @@ class BinaryTree:
         else:
             raise TypeError("a binary vertex has no children or two BinaryTree children, got "
                             f"{type(left).__name__} and {type(right).__name__}")
-        object.__setattr__(self, "word", word)
+        self._freeze(word)
 
     @property
     def is_leaf(self) -> bool:
@@ -86,14 +120,14 @@ class BinaryTree:
 LEAF = BinaryTree()
 
 
-@dataclass(frozen=True, init=False)
-class ColoredTernaryTree:
+class ColoredTernaryTree(_Frozen):
     """A colored complete ternary tree, held as its preorder tuple (see "Preorder forms").
 
     ``ColoredTernaryTree(color)`` is a leaf and ``ColoredTernaryTree(color,
     (first, second, third))`` an internal vertex; see the module docstring.
     """
 
+    __match_args__ = ("preorder",)
     preorder: tuple[int, ...]
 
     def __init__(self, color: int = 0, children: Sequence[ColoredTernaryTree] = ()):
@@ -106,7 +140,7 @@ class ColoredTernaryTree:
         preorder = (color,)
         if children:  # one concatenation, so a vertex costs the size of its subtree
             preorder = (~color, *children[0].preorder, *children[1].preorder, *children[2].preorder)
-        object.__setattr__(self, "preorder", preorder)
+        self._freeze(preorder)
 
     @property
     def is_leaf(self) -> bool:
@@ -375,13 +409,16 @@ def enumerate_forests(family: str, n: int, m: int,
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Frozen):
     """Outcome of structural validation; `path` locates the first violation."""
 
+    __match_args__ = ("ok", "path", "message")
     ok: bool
-    path: tuple[int, ...] | None = None
-    message: str | None = None
+    path: tuple[int, ...] | None
+    message: str | None
+
+    def __init__(self, ok: bool, path: tuple[int, ...] | None = None, message: str | None = None):
+        self._freeze(ok, path, message)
 
 
 def validate(obj, family: str) -> ValidationReport:
@@ -444,14 +481,14 @@ def _tree_fault(tree, kind: type) -> str | None:
 def binary_from_word(word: str) -> BinaryTree:
     """The binary tree whose preorder word is `word`."""
     tree = object.__new__(BinaryTree)
-    object.__setattr__(tree, "word", word)
+    tree.__dict__["word"] = word
     return tree
 
 
 def ternary_from_preorder(preorder: tuple[int, ...]) -> ColoredTernaryTree:
     """The colored ternary tree whose preorder tuple is `preorder`."""
     tree = object.__new__(ColoredTernaryTree)
-    object.__setattr__(tree, "preorder", preorder)
+    tree.__dict__["preorder"] = preorder
     return tree
 
 

@@ -600,6 +600,10 @@ def test_verify_ignores_bounds_its_suite_does_not_read(capsys):
     assert out.splitlines()[-1].startswith("suite identities: PASS")
 
 
+def test_suite_choices_are_the_verify_suites():
+    assert cli.SUITES == verify.SUITES
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # force one check to disagree so the failure path is observable end to end
     from fussforest import verify as verify_mod
@@ -611,7 +615,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         report.checks[0].case({"n": -1}, "expected-value", "actual-value")
         return report
 
-    monkeypatch.setattr("fussforest.cli.verify.run_suite", broken)
+    monkeypatch.setattr("fussforest.verify.run_suite", broken)
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--n-max", "2", "--m-max", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "first failure" in out and "FAIL" in out

@@ -1,9 +1,11 @@
 """Tree values, generators, canonical text format, validation, DOT export, README examples."""
 
 import collections
+import copy
 import doctest
 import hashlib
 import itertools
+import pickle
 import time
 from pathlib import Path
 
@@ -49,6 +51,7 @@ from fussforest.trees import (
     serialize,
     ternary_from_preorder,
     ternary_preorder_text,
+    ValidationReport,
     ternary_weight,
     validate,
 )
@@ -76,6 +79,52 @@ def test_trees_are_immutable_values():
     assert hash(BinaryTree(LEAF, LEAF)) == hash(binary_from_word("100"))
     assert BinaryTree(LEAF, BinaryTree(LEAF, LEAF)) != BinaryTree(BinaryTree(LEAF, LEAF), LEAF)
     assert node(1, leaf(0), leaf(2), leaf(0)) == ternary_from_preorder((~1, 0, 2, 0))
+
+
+def test_value_reprs():
+    assert repr(LEAF) == "BinaryTree(word='0')"
+    assert repr(leaf(1)) == "ColoredTernaryTree(preorder=(1,))"
+    assert repr(validate([LEAF, 3], BINARY)) == (
+        "ValidationReport(ok=False, path=(1,), message='expected a BinaryTree, got int')")
+    assert repr(validate(LEAF, BINARY)) == "ValidationReport(ok=True, path=None, message=None)"
+
+
+@pytest.mark.parametrize("value", [
+    parse_binary("((L L) (L (L L)))"),
+    node(1, leaf(0), leaf(2), node(0, leaf(), leaf(), leaf())),
+    ValidationReport(False, (1,), "a fault"),
+], ids=lambda value: type(value).__name__)
+def test_values_compare_copy_and_pickle_by_their_fields(value):
+    kind = type(value)
+    fields = [getattr(value, name) for name in kind.__match_args__]
+    twin = object.__new__(kind)
+    twin.__dict__.update(zip(kind.__match_args__, fields))
+    assert twin == value and hash(twin) == hash(value) and not twin != value
+    assert value != fields[0] and value != tuple(fields)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is kind and copied == value and hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
+    for name in (*kind.__match_args__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in kind.__match_args__] == fields
+    match value:
+        case BinaryTree(word):
+            assert word == value.word
+        case ColoredTernaryTree(preorder):
+            assert preorder == value.preorder
+        case ValidationReport(ok, path, message):
+            assert (ok, path, message) == (False, (1,), "a fault")
+
+
+def test_values_equal_only_values_of_their_own_class():
+    class Tree(BinaryTree):
+        pass
+
+    assert Tree() == Tree() and Tree() != LEAF and LEAF != Tree()  # the same fields
+    assert BinaryTree() != leaf(0) and leaf(0) != BinaryTree() and ValidationReport(True) != LEAF
 
 
 def test_trees_are_views_of_their_forms():
