@@ -80,15 +80,19 @@ def binomial(n: int, k: int) -> Count:
     return math.comb(n, k)
 
 
+def _require_least(function: str, *bounds: tuple[str, int, int]) -> None:
+    """Raise ValueError for the first (name, value, least) whose value is below its least."""
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{function} requires {name} >= {least}, got {name}={value}")
+
+
 def k_catalan(n: int, k: int) -> Count:
     """Number of complete k-ary trees with n internal vertices.
 
     Computed as binom(k*n+1, n) / (k*n+1) with the division checked exact.
     """
-    if n < 0:
-        raise ValueError(f"k_catalan requires n >= 0, got n={n}")
-    if k < 2:
-        raise ValueError(f"k_catalan requires k >= 2, got k={k}")
+    _require_least("k_catalan", ("n", n, 0), ("k", k, 2))
     return _exact_div(binomial(k * n + 1, n), k * n + 1)
 
 
@@ -97,12 +101,7 @@ def forest_catalan(p: int, k: int, m: int) -> Count:
 
     Computed as m * binom(k*p+m, p) / (k*p+m), division checked exact.
     """
-    if p < 0:
-        raise ValueError(f"forest_catalan requires p >= 0, got p={p}")
-    if k < 2:
-        raise ValueError(f"forest_catalan requires k >= 2, got k={k}")
-    if m < 1:
-        raise ValueError(f"forest_catalan requires m >= 1, got m={m}")
+    _require_least("forest_catalan", ("p", p, 0), ("k", k, 2), ("m", m, 1))
     return _exact_div(m * binomial(k * p + m, p), k * p + m)
 
 
@@ -186,8 +185,10 @@ def by_parts_terms(k: int, n: int, m: int):
     """Yield FCk(p, m) * binom(n+p+m-1, n-(k-1)p) for p from 0 to floor(n/(k-1)).
 
     Term 0 is binom(n+m-1, n), and every later term comes from the one before
-    it by one big-by-small product and one checked exact division.
+    it by one big-by-small product and one checked exact division.  Arguments
+    are checked at the call.
     """
+    _require_least("by_parts_terms", ("k", k, 2), ("n", n, 0), ("m", m, 1))
     return _terms(_by_parts(k), n, m)
 
 

@@ -30,7 +30,6 @@ recursion, so no tree depth reaches Python's recursion limit.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import os
 import re
@@ -267,13 +266,14 @@ def _forests(forms: Sequence[Sequence], n: int, m: int) -> Iterator[tuple]:
         more = _next_composition(sizes)
 
 
-# The most words a table of `_shape_words` holds.  Tables are built in
-# increasing size, through the size asked for, until one would pass this cap.
-# A size's word count is known from the smaller tables' lengths before its
-# table is built, so no table past the cap is started: the tables stay near
-# 0.5 MB (binary to size 9, ternary to size 6) and cost milliseconds, and a
-# call for a deep tree still yields its first word at once.
-_TABLE_WORDS = 5000
+# The shape tables of `_shape_words`, by arity: table s lists the words of
+# size s, for the sizes whose trees have at most `_TABLE_VERTICES` vertices
+# (binary to 9, ternary to 6: under 1 MB).  They are built once per process,
+# as far as a call needs.  A new size replaces the stored list, never appends
+# to it, so two threads cannot store one size twice and a suspended generator
+# keeps the list it read.
+_TABLE_VERTICES = 19
+_TABLES: dict[int, list[list[str]]] = {}
 
 
 def _shape_words(p: int, k: int) -> Iterator[str]:
@@ -283,22 +283,20 @@ def _shape_words(p: int, k: int) -> Iterator[str]:
     compositions of size - 1 into k parts, ascending: from the right comb to
     the left comb.  So the table of size s, built smallest first, is a root
     before each k-forest of size s - 1 that `_forests` makes of the smaller
-    tables, and its length is the same walk over their lengths, summing the
-    products.  One loop makes every word.  Each pass restarts the pieces after
-    a head: the longest suffix of them whose sizes have a table runs as a
-    Cartesian product of the tables, the last fastest, and the rest are
-    right combs.  The first pass restarts the whole tree, so a size with a
-    table is read from it.  Then a step, in one frame, scans from the right
-    with a stack of subtree sizes; the first vertex whose child sizes step
-    is the last that can, and its children and all subtrees after it are
-    the next pass's pieces.
+    tables, kept in `_TABLES` and grown through size p up to the cap.  One
+    loop makes every word.  Each pass restarts the pieces after a head: the
+    longest suffix of them whose sizes have a table runs as a Cartesian
+    product of the tables, the last fastest, and the rest are right combs.
+    The first pass restarts the whole tree, so a size with a table is read
+    from it.  Then a step, in one frame, scans from the right with a stack of
+    subtree sizes; the first vertex whose child sizes step is the last that
+    can, and its children and all subtrees after it are the next pass's
+    pieces.
     """
-    tables = [["0"]]
-    while len(tables) <= p:
-        size = len(tables) - 1
-        if sum(map(math.prod, _forests([[len(t)] for t in tables], size, k))) > _TABLE_WORDS:
-            break
-        tables.append(["1" + "".join(f) for f in _forests(tables, size, k)])
+    tables = _TABLES.get(k, [["0"]])
+    while len(tables) <= p and k * len(tables) < _TABLE_VERTICES:
+        tables = [*tables, ["1" + "".join(f) for f in _forests(tables, len(tables) - 1, k)]]
+        _TABLES[k] = tables
     unit = "1" + "0" * (k - 1)
     head, pieces = "", [p]
     while True:

@@ -248,6 +248,17 @@ def test_by_parts_terms_are_the_literal_terms(k):
                              for p in range(n // (k - 1) + 1)], (n, m)
 
 
+@pytest.mark.parametrize("k, n, m, fragment", [
+    (3, 2, 0, "m >= 1, got m=0"),  # a forest of no trees
+    (5, 4, -2, "m >= 1, got m=-2"),
+    (1, 3, 1, "k >= 2, got k=1"),
+    (3, -1, 1, "n >= 0, got n=-1"),
+])
+def test_by_parts_terms_check_their_arguments_at_the_call(k, n, m, fragment):
+    with pytest.raises(ValueError, match=f"^by_parts_terms requires {fragment}$"):
+        by_parts_terms(k, n, m)
+
+
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
 def test_ternary_forest_identity_property(n, m):
     assert identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m) == forest_catalan(n, 2, m)

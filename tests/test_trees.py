@@ -6,6 +6,8 @@ import doctest
 import hashlib
 import itertools
 import pickle
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -55,7 +57,7 @@ from fussforest.trees import (
     ternary_weight,
     validate,
 )
-from fussforest.trees import _TABLE_WORDS, _next_composition, _shape_words
+from fussforest.trees import _next_composition, _shape_words
 
 
 def test_vertex_statistics():
@@ -266,73 +268,86 @@ def test_deep_binary_words_step_without_recursion():
 
 
 def test_shape_words_match_the_stepwise_oracle_past_the_table_cap():
-    # Tables stop at size 9 for k=2, 6 for k=3, 5 for k=4 and k=5, so these
-    # sizes restart pieces that come from steps, not from a table.
+    # Tables stop at size 9 for k=2, 6 for k=3, 4 for k=4 and 3 for k=5, so
+    # these sizes restart pieces that come from steps, not from a table.
     for k, top in ((2, 12), (3, 8), (4, 7), (5, 6)):
         for p in range(top + 1):
             assert list(_shape_words(p, k)) == list(
                 oracle_generators.shape_words_stepwise(p, k)), (k, p)
 
 
-def _count_table_words(monkeypatch):
-    """Spy on `_forests` as `_shape_words` builds its tables: size -> words
-    pulled to build that size's table, and the list of tables each call saw.
-    The table of size s >= 1 is made of the forests of size s - 1, and the
-    table of size 0, the leaf alone, of none.  Only the calls that build a
-    table are recorded, not those that count its words from the table lengths."""
-    pulled = {}
-    built = []
-    original = trees._forests
-
-    def counting(tables, n, k):
-        forests = original(tables, n, k)
-        if tables[0] != ["0"]:
-            return forests
-        built.append(tables)
-        assert n + 1 not in pulled and n + 1 == len(tables)
-        pulled[n + 1] = 0
-
-        def counted():
-            for forest in forests:
-                pulled[n + 1] += 1
-                yield forest
-        return counted()
-
-    monkeypatch.setattr(trees, "_forests", counting)
-    return pulled, built
-
-
-def _last_table_size(k):
-    """The largest size whose k-ary table fits `_TABLE_WORDS`."""
-    return sum(1 for _ in itertools.takewhile(
-        lambda s: k_catalan(s, k) <= _TABLE_WORDS, itertools.count())) - 1
+# The last size whose trees have at most 19 vertices, the largest with a table.
+_LAST_TABLE_SIZE = {2: 9, 3: 6}
 
 
 def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
     # 3*10^5 words of a 2000-vertex tree take about 0.07 s on a 2-CPU x86-64
     # host (one step per word took about 1 s).  Tables are built once, in
-    # increasing size, and no word of the first size past the cap is pulled.
-    pulled, built = _count_table_words(monkeypatch)
+    # increasing size, up to the last size with at most 19 vertices, and a
+    # repeat call builds none.
+    monkeypatch.setattr(trees, "_TABLES", {})
     started = time.perf_counter()
     words = enumerate_binary_words(2000, max_n=2000)
     collections.deque(itertools.islice(words, 300_000), maxlen=0)
     assert time.perf_counter() - started < 1.0
-    last = _last_table_size(2)
-    assert pulled == {s: k_catalan(s, 2) for s in range(1, last + 1)}
-    assert all(tables is built[0] for tables in built)
-    assert [len(table) for table in built[0]] == [k_catalan(s, 2) for s in range(last + 1)]
+    for k, last in _LAST_TABLE_SIZE.items():
+        next(_shape_words(2000, k))
+        tables = trees._TABLES[k]
+        assert tables == [list(oracle_generators.shape_words_stepwise(s, k))
+                          for s in range(last + 1)], k
+        next(_shape_words(2000, k))
+        assert trees._TABLES[k] is tables
 
 
 def test_shape_words_read_a_size_with_a_table_from_it(monkeypatch):
-    # Tables are built through the size asked for, so a size with a table
-    # comes from it; the first size past the cap is counted, not started.
-    pulled, _ = _count_table_words(monkeypatch)
-    for k in (2, 3):
-        last = _last_table_size(k)
+    # Each call grows the kept tables through the size it asks for, and a
+    # size with a table yields that table; the first size past the cap has
+    # no table, and a repeat call builds none.
+    for k, last in _LAST_TABLE_SIZE.items():
+        monkeypatch.setattr(trees, "_TABLES", {})
         for p in range(last + 2):
-            pulled.clear()
-            assert sum(1 for _ in _shape_words(p, k)) == k_catalan(p, k)
-            assert pulled == {s: k_catalan(s, k) for s in range(1, min(p, last) + 1)}, (k, p)
+            words = list(_shape_words(p, k))
+            tables = trees._TABLES.get(k, [["0"]])
+            assert [len(table) for table in tables] == [
+                k_catalan(s, k) for s in range(min(p, last) + 1)], (k, p)
+            assert len(words) == k_catalan(p, k)
+            if p <= last:
+                assert words == tables[p]
+            collections.deque(_shape_words(p, k), maxlen=0)
+            assert trees._TABLES.get(k, tables) is tables
+
+
+def test_a_suspended_generator_keeps_the_tables_it_read(monkeypatch):
+    # Tables grow by replacing the stored list, so a generator that another
+    # call outgrows goes on with the list it read, which is left as it was.
+    monkeypatch.setattr(trees, "_TABLES", {})
+    words = _shape_words(4, 2)
+    first = [next(words) for _ in range(3)]
+    read = trees._TABLES[2]
+    next(_shape_words(2000, 2))
+    assert len(read) == 5 and len(trees._TABLES[2]) == _LAST_TABLE_SIZE[2] + 1
+    assert first + list(words) == list(oracle_generators.shape_words_stepwise(4, 2))
+
+
+def test_threads_that_build_the_tables_at_once_store_each_size_once(monkeypatch):
+    # More threads than cores, switching often, all building from no tables:
+    # a size stored twice would shift every larger table by one.
+    monkeypatch.setattr(trees, "_TABLES", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=next, args=(_shape_words(2000, k),))
+                   for k in (2, 3) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, last in _LAST_TABLE_SIZE.items():
+        assert [len(table) for table in trees._TABLES[k]] == [
+            k_catalan(s, k) for s in range(last + 1)], k
 
 
 def _every_forest(family):
