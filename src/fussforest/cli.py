@@ -118,27 +118,24 @@ def cmd_number(args) -> int:
 
 def _render(forms, family: str, fmt: str, first: int = 0):
     """Each form's piece of output in the given format: its text line, its
-    digraph (numbered from `first`), or its text as an item of a JSON array."""
+    digraph (numbered from `first`), or its text as a JSON string."""
     text = trees.binary_word_text if family == BINARY else trees.ternary_preorder_text
     if fmt == "dot":
         return map(trees.form_dot, forms, itertools.count(first))
-    if fmt == "json":
-        return map(text, forms)
+    if fmt == "json":  # tree text holds no character that JSON escapes
+        return ('"' + text(form) + '"' for form in forms)
     return (text(form) + "\n" for form in forms)
 
 
 def _write(stream, pieces, fmt: str) -> int:
-    """Write the pieces `_render` made, JSON items as one array; return how many."""
-    if fmt == "json":
-        import json
-
-        pieces = list(pieces)
-        stream.write(json.dumps(pieces) + "\n")
-        return len(pieces)
+    """Write the pieces `_render` made as they come, JSON items as one array
+    ("[", the items joined by ", ", then "]" and a line end); return how many."""
+    opening, separator, closing = ("[", ", ", "]\n") if fmt == "json" else ("", "", "")
+    stream.write(opening)
     count = 0
-    for piece in pieces:
-        stream.write(piece)
-        count += 1
+    for count, piece in enumerate(pieces, 1):
+        stream.write(separator + piece if count > 1 else piece)
+    stream.write(closing)
     return count
 
 
@@ -256,6 +253,13 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
+def _out_of_resources(err: Exception) -> int:
+    """Report exit 6 on stderr: the error's type, then its text if it has any."""
+    line = f"error: out of resources: {type(err).__name__}"
+    print(f"{line}: {err}" if str(err) else line, file=sys.stderr)
+    return EXIT_RESOURCE
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -276,16 +280,14 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAMILY
     except (RecursionError, MemoryError, OverflowError, workers.WorkerError) as err:
-        print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _out_of_resources(err)
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_OK
     except (ValueError, OSError) as err:
         if isinstance(err, OSError) and err.errno in (errno.ENOSPC, errno.EFBIG, errno.EDQUOT):
-            print(f"error: out of resources: {type(err).__name__}: {err}", file=sys.stderr)
             _drop_stdout()
-            return EXIT_RESOURCE
+            return _out_of_resources(err)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

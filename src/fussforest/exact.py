@@ -234,10 +234,9 @@ _SIDES = {
 SINGLE_COMPONENT = (Identity.TERNARY, Identity.QUINARY)
 
 
-def _side(identity: Identity, side: Side, m: int):
-    """One side's sum, or for FC2(n, m) its closed form, once m is checked."""
-    if m < 1:
-        raise ValueError(f"identity sides require m >= 1, got m={m}")
+def _side(identity: Identity, side: Side, m: int, function: str):
+    """One side's sum, or for FC2(n, m) its closed form, once m is checked for `function`."""
+    _require_least(function, ("m", m, 1))
     if identity in SINGLE_COMPONENT and m != 1:
         raise ValueError(f"{identity.value} is a single-component identity; m must be 1, got m={m}")
     if not isinstance(side, Side):
@@ -252,9 +251,8 @@ def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
     identities, and for them m must be 1.  Sums over p run to floor(n/2) or
     floor(n/4) as the formulas state.
     """
-    if n < 0:
-        raise ValueError(f"identity_side requires n >= 0, got n={n}")
-    how = _side(identity, side, m)
+    _require_least("identity_side", ("n", n, 0))
+    how = _side(identity, side, m, "identity_side")
     if not isinstance(how, _Sum):
         return how(n, m)
     return how.value(sum(_terms(how, n, m)), n, m)
@@ -263,7 +261,7 @@ def identity_side(identity: Identity, side: Side, n: int, m: int = 1) -> Count:
 def identity_sides(identity: Identity, side: Side, m: int = 1):
     """Iterate identity_side(identity, side, n, m) for n = 0, 1, 2, ...; a sum steps
     its whole row of terms from n to n+1 in C.  Arguments are checked at the call."""
-    how = _side(identity, side, m)
+    how = _side(identity, side, m, "identity_sides")
     if not isinstance(how, _Sum):
         return map(how, count(), repeat(m))
     return map(how.value, map(sum, _rows(how, m)), count(), repeat(m))

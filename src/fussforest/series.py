@@ -15,7 +15,7 @@ from itertools import accumulate, repeat
 from operator import add, mul, sub
 
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
-from .exact import _exact_div, binomial, forest_catalan, identity_side  # noqa: F401
+from .exact import _exact_div, _require_least, binomial, forest_catalan, identity_side  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,23 +72,20 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> TruncatedSeries:
         """The running product self * self * ..., as `verify` takes its powers:
         exponent - 1 products for exponent >= 1, and the constant 1 for 0."""
-        if exponent < 0:
-            raise ValueError("only nonnegative powers are defined")
+        _require_least("TruncatedSeries.__pow__", ("exponent", exponent, 0))
         if exponent == 0:
             return TruncatedSeries.constant(1, self.order)
         return reduce(mul, repeat(self, exponent - 1), self)
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by x^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("shift needs k >= 0")
+        _require_least("TruncatedSeries.shift", ("k", k, 0))
         return TruncatedSeries(((0,) * k + self.coeffs)[:self.order + 1])
 
 
 def geometric_series_power(j: int, order: int) -> TruncatedSeries:
     """1/(1-x)^j truncated: coefficient of x^i is binom(i+j-1, j-1)."""
-    if j < 1:
-        raise ValueError(f"geometric_series_power requires j >= 1, got {j}")
+    _require_least("geometric_series_power", ("j", j, 1))
     return TruncatedSeries(tuple(binomial(i + j - 1, j - 1) for i in range(order + 1)))
 
 
@@ -101,10 +98,7 @@ def fuss_catalan_series(k: int, order: int) -> TruncatedSeries:
     costs O(n) products and one checked exact division by n, O(order^2) in
     all.  Coefficient i equals k_catalan(i, k), which is never called here.
     """
-    if k < 2:
-        raise ValueError(f"fuss_catalan_series requires k >= 2, got {k}")
-    if order < 0:
-        raise ValueError(f"fuss_catalan_series requires order >= 0, got {order}")
+    _require_least("fuss_catalan_series", ("k", k, 2), ("order", order, 0))
     s, power = [1], [1]
     for n in range(1, order + 1):
         s.append(power[n - 1])
@@ -124,10 +118,7 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     factor 1/(1-x)), and one more running sum applies the final 1/(1-x).  That
     is O(k * order^2) additions, with no multiplications and no binomials.
     """
-    if k < 2:
-        raise ValueError(f"colored_tree_series requires k >= 2, got {k}")
-    if order < 0:
-        raise ValueError(f"colored_tree_series requires order >= 0, got {order}")
+    _require_least("colored_tree_series", ("k", k, 2), ("order", order, 0))
     # Coefficient p of C_k first shows at x^((k-1)p), so later ones are cut off.
     outer = fuss_catalan_series(k, order // (k - 1))
     acc = [0] * (order + 1)
@@ -146,7 +137,6 @@ def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
     turns the forest counts into the ternary-forest identity; the result must
     equal colored_tree_series(3, order) ** m.
     """
-    if m < 1:
-        raise ValueError(f"forest_expansion_series requires m >= 1, got {m}")
+    _require_least("forest_expansion_series", ("m", m, 1))
     return sum((geometric_series_power(3 * p + m, order).shift(2 * p) * forest_catalan(p, 3, m)
                 for p in range(order // 2 + 1)), TruncatedSeries.constant(0, order))

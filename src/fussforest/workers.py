@@ -3,8 +3,9 @@
 `verify` runs its checks here and `map` its blocks of lines.  Units share
 nothing, so each process runs every unit of its share and sends back their
 outcomes, pickled over a pipe: what each unit returned, or the exception it
-raised.  The caller gets one outcome per unit in unit order, the same for
-any number of workers, and decides itself which failure wins.
+raised, each tried once for a pickle that loads back.  The caller gets one
+outcome per unit in unit order, the same for any number of workers, and
+decides itself which failure wins.
 """
 
 from __future__ import annotations
@@ -33,35 +34,23 @@ def _outcome(unit):
         return err
 
 
-def _pickled(outcomes: list, name: str) -> bytes:
-    """What a worker sends back, pickled: its units' outcomes.
-
-    An outcome that does not pickle, or pickles but does not load, goes as a
-    WorkerError in its place: with its text for an exception, naming its
-    pickling error for a value.
-    """
+def _sendable(outcome, name: str):
+    """The outcome if it pickles and loads back; else a WorkerError in its
+    place: with its text for an exception, naming the error for a value."""
     import pickle  # here, so that start-up does not pay for it
 
     try:
-        data = pickle.dumps(outcomes)
-        pickle.loads(data)  # some exceptions pickle but do not load
-        return data
-    except Exception:
-        pass
-    for i, outcome in enumerate(outcomes):
-        try:
-            pickle.loads(pickle.dumps(outcome))
-        except Exception as err:
-            outcomes[i] = WorkerError(
-                f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception)
-                else f"a {name} unit returned a value that cannot be sent: "
-                     f"{type(err).__name__}: {err}")
-    return pickle.dumps(outcomes)
+        pickle.loads(pickle.dumps(outcome))  # some exceptions pickle but do not load
+        return outcome
+    except Exception as err:
+        return WorkerError(
+            f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception)
+            else f"a {name} unit returned a value that cannot be sent: {type(err).__name__}: {err}")
 
 
 def _fork(units: list, name: str) -> tuple[int, int]:
-    """Start a worker that runs the units and writes what `_pickled` makes
-    of their outcomes into a pipe; return its pid and the pipe's read end."""
+    """Start a worker that runs the units and pickles what `_sendable` makes of
+    their outcomes, as one list, into a pipe; return its pid and the read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -71,8 +60,10 @@ def _fork(units: list, name: str) -> tuple[int, int]:
         raise WorkerError(f"cannot start a {name} worker: {err}") from None
     if pid == 0:
         try:
+            import pickle
+
             os.close(read)
-            data = _pickled(list(map(_outcome, units)), name)
+            data = pickle.dumps([_sendable(_outcome(unit), name) for unit in units])
             with open(write, "wb") as stream:
                 stream.write(data)
         finally:

@@ -9,6 +9,7 @@ import itertools  # noqa: E402
 
 from hypothesis import strategies as st  # noqa: E402
 
+from fussforest.bijection import decode  # noqa: E402
 from fussforest.trees import LEAF, BinaryTree, enumerate_binary_words, leaf, node  # noqa: E402
 
 # Random complete trees, small enough for exhaustive-style properties.
@@ -48,3 +49,30 @@ def _uniform_binary_word(draw) -> str:
 
 # Uniform binary words with 1000 to 5000 internal vertices.
 wide_binary_words = _uniform_binary_word()
+
+# Colored ternary preorders of weight 1000 to 5000, uniform at their weight:
+# phi is a weight-preserving bijection, so it carries a uniform binary tree
+# to a uniform colored ternary tree.
+wide_colored_preorders = wide_binary_words.map(decode)
+
+
+@st.composite
+def _deep_colored_preorder(draw) -> tuple[int, ...]:
+    # A spine of 10^4 to 2*10^4 internal vertices of mixed colors: at each
+    # level the spine goes on in a random child, and the other two are
+    # leaves of random colors.  A level's leaves after the spine child come
+    # after the whole subtree below it in preorder.
+    depth = draw(st.integers(min_value=10_000, max_value=20_000))
+    rng = draw(st.randoms(use_true_random=True))  # seeded, one draw
+    head, tail = [], []
+    for _ in range(depth):
+        spine_child = rng.randrange(3)
+        leaves = [rng.randrange(4) for _ in range(2)]
+        head += [~rng.randrange(4), *leaves[:spine_child]]
+        tail.append(leaves[spine_child:])
+    head.append(rng.randrange(4))
+    return tuple(head + [color for leaves in reversed(tail) for color in leaves])
+
+
+# Colored ternary preorders 10^4 to 2*10^4 internal vertices deep.
+deep_colored_preorders = _deep_colored_preorder()

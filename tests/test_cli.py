@@ -101,6 +101,28 @@ def test_enumerate_json_format(capsys):
     assert json.loads(out) == ["(L (L L))", "((L L) L)"]
 
 
+@pytest.mark.parametrize("family", [trees.BINARY, trees.COLORED_TERNARY])
+def test_enumerate_json_is_json_dumps_of_the_text_lines(capsys, family):
+    # The array is written item by item, with the bytes of json.dumps, since
+    # no tree text holds a character that JSON escapes.
+    for n in range(9):
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n))
+        texts = out.splitlines()
+        assert code == EXIT_OK and all(json.dumps(text) == f'"{text}"' for text in texts)
+        code, out, _ = run(capsys, "enumerate", "--family", family, "--n", str(n),
+                           "--format", "json")
+        assert code == EXIT_OK and out == json.dumps(texts) + "\n"
+
+
+def test_empty_json_output_is_an_empty_array(capsys, monkeypatch):
+    code, out, err = run(capsys, "enumerate", "--family", "colored-ternary", "--n", "3",
+                         "--p", "5", "--format", "json")
+    assert (code, out, err) == (EXIT_OK, "[]\n", "enumerated 0 tree(s)\n")
+    monkeypatch.setattr("sys.stdin", _stdin(b""))
+    code, out, err = run(capsys, "map", "--direction", "t2b", "--format", "json")
+    assert (code, out, err) == (EXIT_OK, "[]\n", "mapped 0 tree(s)\n")
+
+
 def test_enumerate_dot_format(capsys):
     code, out, _ = run(capsys, "enumerate", "--family", "colored-ternary", "--n", "1")
     assert code == EXIT_OK and out == "1\n"
@@ -121,17 +143,22 @@ def test_enumerate_cap_override(capsys):
     assert code == EXIT_OK and out == "15\n"
 
 
-@pytest.mark.parametrize("exhaustion", [RecursionError, MemoryError], ids=["recursion", "memory"])
-def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhaustion):
+@pytest.mark.parametrize("exhaustion, line", [
+    (RecursionError("out of it"), "RecursionError: out of it"),
+    (MemoryError("out of it"), "MemoryError: out of it"),
+    (MemoryError(), "MemoryError"),
+], ids=["recursion", "memory", "memory-no-text"])
+def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhaustion, line):
     # Running out of stack or memory is not exit 1, which means a
-    # verification failed, and prints no traceback.
+    # verification failed, and prints no traceback.  A failed allocation
+    # raises MemoryError() with no text: its line ends at the type's name.
     def exhausted(*args, **kwargs):
-        raise exhaustion("out of it")
+        raise exhaustion
 
     monkeypatch.setattr(trees, "enumerate_binary_words", exhausted)
     code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "3")
     assert code == EXIT_RESOURCE and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"error: out of resources: {line}\n"
 
 
 @pytest.mark.parametrize("color", ["9" * 300, str(2**62)], ids=["300-digits", "2**62"])
@@ -442,6 +469,19 @@ def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, capsys, monkeypat
         outputs.append((out, err))
     assert outputs[0] == outputs[1]
     assert outputs[0][1] == f"mapped {text.count(chr(10))} tree(s)\n"
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("direction", ["t2b", "b2t"])
+def test_map_json_is_json_dumps_of_the_images(tmp_path, capsys, monkeypatch, cpus, direction):
+    src = tmp_path / "in.txt"
+    src.write_text(_weight_8_text(direction), encoding="ascii")
+    code, images, _, _ = _map_at(capsys, monkeypatch, cpus, src, direction)
+    assert code == EXIT_OK
+    code, out, _, forks = _map_at(capsys, monkeypatch, cpus, src, direction, "--format", "json")
+    assert (code, forks) == (EXIT_OK, cpus - 1)
+    assert out == json.dumps(images.splitlines()) + "\n"
 
 
 # Lines that fail in the last block, after every tree of weight 8, and the

@@ -142,6 +142,35 @@ def test_a_negative_power_is_refused():
         S([1, 1]) ** -1
 
 
+# Every range check of `series` and of the identity sides, as `exact._require_least`
+# words it: the function, the least value of the argument, and the value given.
+_RANGE_CHECKS = [
+    (fuss_catalan_series, (1, 4), "fuss_catalan_series requires k >= 2, got k=1"),
+    (fuss_catalan_series, (2, -1), "fuss_catalan_series requires order >= 0, got order=-1"),
+    (colored_tree_series, (1, 4), "colored_tree_series requires k >= 2, got k=1"),
+    (colored_tree_series, (3, -2), "colored_tree_series requires order >= 0, got order=-2"),
+    (geometric_series_power, (0, 4), "geometric_series_power requires j >= 1, got j=0"),
+    (forest_expansion_series, (0, 4), "forest_expansion_series requires m >= 1, got m=0"),
+    (TruncatedSeries.shift, (S([1, 1]), -1), "TruncatedSeries.shift requires k >= 0, got k=-1"),
+    (TruncatedSeries.__pow__, (S([1, 1]), -1),
+     "TruncatedSeries.__pow__ requires exponent >= 0, got exponent=-1"),
+    (identity_side, (Identity.TERNARY_FOREST, Side.LHS, -1, 1),
+     "identity_side requires n >= 0, got n=-1"),
+    (identity_side, (Identity.QUINARY_FOREST, Side.RHS, 3, 0),
+     "identity_side requires m >= 1, got m=0"),
+    (exact.identity_sides, (Identity.TERNARY_FOREST, Side.RHS, -2),
+     "identity_sides requires m >= 1, got m=-2"),
+]
+
+
+@pytest.mark.parametrize("function, args, message", _RANGE_CHECKS,
+                         ids=["-".join(message.split()[:3:2]) for *_, message in _RANGE_CHECKS])
+def test_range_checks_name_the_function_the_argument_and_the_value(function, args, message):
+    with pytest.raises(ValueError) as raised:
+        function(*args)
+    assert str(raised.value) == message
+
+
 def test_fuss_catalan_series_values():
     assert fuss_catalan_series(2, 5) == S([1, 1, 2, 5, 14, 42])
     assert fuss_catalan_series(3, 4) == S([1, 1, 3, 12, 55])

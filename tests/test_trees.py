@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 import oracle_generators
 import oracle_parsers
 import oracle_paths
-from conftest import binary_trees, colored_ternary_trees, deep_binary_words, wide_binary_words
+from conftest import (
+    binary_trees,
+    colored_ternary_trees,
+    deep_binary_words,
+    deep_colored_preorders,
+    wide_binary_words,
+    wide_colored_preorders,
+)
 from fussforest import trees
 from fussforest.bijection import decode, encode
 from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
@@ -631,6 +638,28 @@ def test_form_routines_on_deep_words(word):
     assert form_dot(word).count("[shape=") == len(word)
     assert form_dot(preorder).count("[shape=") == len(preorder)
 
+
+
+def _check_colored_form_routines(preorder):
+    assert parse_ternary_preorder(ternary_preorder_text(preorder)) == preorder
+    assert decode(encode(preorder)) == preorder
+    assert validate(ternary_from_preorder(preorder), COLORED_TERNARY).ok
+    assert form_dot(preorder).count("[shape=") == len(preorder)
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_colored_preorders)
+def test_form_routines_on_wide_colored_preorders(preorder):
+    _check_colored_form_routines(preorder)
+
+
+@settings(max_examples=8, deadline=None)
+@given(deep_colored_preorders)
+def test_form_routines_on_deep_colored_preorders(preorder):
+    # Deeper than the recursion limit lets any recursive routine go.
+    assert sum(item < 0 for item in preorder) > sys.getrecursionlimit()
+    assert len(set(preorder)) > 4  # colors are mixed, on internal vertices and leaves
+    _check_colored_form_routines(preorder)
 
 # Parser fuzz.  Texts are raw bytes, or canonical texts cut short or with a
 # few bytes inserted, deleted or replaced, so that errors also occur deep in

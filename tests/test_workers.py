@@ -59,6 +59,29 @@ def test_a_value_that_does_not_pickle_is_reported_by_its_own_error(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+class _TwoArguments(Exception):
+    """Pickles as its one argument, so loading it calls __init__ with too few."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@needs_fork
+def test_an_exception_that_pickles_but_does_not_load_comes_back_as_its_text(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def fails():
+        raise _TwoArguments("no second argument", None)
+
+    # The worker runs units 1 and 3; the one beside the exception arrives intact.
+    outcomes = workers.run_units([lambda: 0, fails, lambda: 2, lambda: [3, "three"]], "test")
+    assert outcomes[0::2] == [0, 2] and outcomes[3] == [3, "three"]
+    assert type(outcomes[1]) is workers.WorkerError
+    assert str(outcomes[1]) == "_TwoArguments: no second argument"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "two_cpus"])
 def test_a_unit_that_raises_does_not_stop_the_later_units_of_its_process(monkeypatch, cpus):
     if len(cpus) > 1 and not hasattr(os, "fork"):
