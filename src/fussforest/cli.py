@@ -56,6 +56,11 @@ class FamilyMismatchError(Exception):
     """Input parsed as the opposite tree family from the one requested."""
 
 
+# The exit code of each error that `main` prints as "error: <text>"; any other is a usage error.
+_ERROR_EXITS = ((SizeCapError, EXIT_CAP), (ParseError, EXIT_PARSE),
+                (FamilyMismatchError, EXIT_FAMILY))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fussforest",
@@ -116,10 +121,9 @@ def cmd_number(args) -> int:
     return EXIT_OK
 
 
-def _render(forms, family: str, fmt: str, first: int = 0):
-    """Each form's piece of output in the given format: its text line, its
-    digraph (numbered from `first`), or its text as a JSON string."""
-    text = trees.binary_word_text if family == BINARY else trees.ternary_preorder_text
+def _render(forms, text, fmt: str, first: int = 0):
+    """Each form's piece of output in the given format: its line of `text` (a
+    family's text function), its digraph numbered from `first`, or its JSON string."""
     if fmt == "dot":
         return map(trees.form_dot, forms, itertools.count(first))
     if fmt == "json":  # tree text holds no character that JSON escapes
@@ -151,13 +155,15 @@ def _emit(args, pieces, verb: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    if args.p is not None and args.family != COLORED_TERNARY:
-        raise ValueError("--p only applies to the colored-ternary family")
     if args.family == COLORED_TERNARY:
         forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
+        text = trees.ternary_preorder_text
+    elif args.p is not None:
+        raise ValueError("--p only applies to the colored-ternary family")
     else:
         forms = trees.enumerate_binary_words(args.n, max_n=args.max_n)
-    _emit(args, _render(forms, args.family, args.format), "enumerated")
+        text = trees.binary_word_text
+    _emit(args, _render(forms, text, args.format), "enumerated")
     return EXIT_OK
 
 
@@ -193,9 +199,10 @@ def _map_block(text: str, start: int, end: int, source: str, apply_map, render) 
 
 
 def cmd_map(args) -> int:
-    source, target, apply_map = (
-        (COLORED_TERNARY, BINARY, encode) if args.direction == "t2b"
-        else (BINARY, COLORED_TERNARY, decode)
+    source, apply_map, target_text, parse_target = (
+        (COLORED_TERNARY, encode, trees.binary_word_text, trees.parse_binary_word)
+        if args.direction == "t2b"
+        else (BINARY, decode, trees.ternary_preorder_text, trees.parse_ternary_preorder)
     )
     if args.in_path == "-":
         text = sys.stdin.buffer.read()
@@ -206,7 +213,7 @@ def cmd_map(args) -> int:
     # count bytes, and a byte that is not ASCII becomes a character no tree
     # text holds, so it is a parse error.
     text = text.decode("ascii", "surrogateescape")
-    render = partial(_render, family=target, fmt=args.format)
+    render = partial(_render, text=target_text, fmt=args.format)
     count = min(workers.usable_cpus(), len(text) // _MIN_BLOCK_BYTES) or 1
     units = [partial(_map_block, text, start, end, source, apply_map, render)
              for start, end in _line_blocks(text, count)]
@@ -219,7 +226,6 @@ def cmd_map(args) -> int:
         line_no = text.count("\n", 0, err.offset)
         end = text.find("\n", err.offset)
         line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
-        parse_target = trees.parse_binary_word if target == BINARY else trees.parse_ternary_preorder
         try:
             parse_target(line)
         except ParseError:
@@ -270,26 +276,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a full or closed stdout fails here, not in the exit-time flush
         return code
-    except SizeCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except FamilyMismatchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAMILY
     except (RecursionError, MemoryError, OverflowError, workers.WorkerError) as err:
         return _out_of_resources(err)
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_OK
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, FamilyMismatchError) as err:
         if isinstance(err, OSError) and err.errno in (errno.ENOSPC, errno.EFBIG, errno.EDQUOT):
             _drop_stdout()
             return _out_of_resources(err)
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return next((code for kind, code in _ERROR_EXITS if isinstance(err, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -40,11 +40,13 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: int, order: int) -> TruncatedSeries:
-        return cls((value, *(0,) * order)[:order + 1])  # below order 0: ValueError
+        _require_least("TruncatedSeries.constant", ("order", order, 0))
+        return cls((value, *(0,) * order))
 
     @classmethod
     def x(cls, order: int) -> TruncatedSeries:
-        return cls((0, 1, *(0,) * (order - 1))[:order + 1])  # order 0: (0,); below 0: ValueError
+        _require_least("TruncatedSeries.x", ("order", order, 0))
+        return cls((0, 1, *(0,) * (order - 1))[:order + 1])  # order 0: (0,)
 
     def _coerce(self, other) -> TruncatedSeries:
         if isinstance(other, int):

@@ -44,6 +44,13 @@ COLORED_TERNARY = "colored-ternary"
 FAMILIES = (BINARY, COLORED_TERNARY)
 
 
+def _pick(family: str, binary, colored):
+    """`binary` for the binary family and `colored` for the colored-ternary one."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return binary if family == BINARY else colored
+
+
 class SizeCapError(ValueError):
     """Refused an enumeration whose size parameter exceeds the configured cap."""
 
@@ -385,22 +392,18 @@ def enumerate_forest_forms(family: str, n: int, m: int,
     generators, the first component's slowest.  The call lists every
     component form of weight <= n, and forests share those forms.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    forms_of = _pick(family, lambda s: _shape_words(s, 2), lambda s: _ternary_preorders(s, None))
     if m < 1:
         raise ValueError(f"m must be >= 1, got m={m}")
     _check_cap(n, max_n)
-    forms = [list(_shape_words(s, 2) if family == BINARY else _ternary_preorders(s, None))
-             for s in range(n + 1)]
-    return _forests(forms, n, m)
+    return _forests([list(forms_of(s)) for s in range(n + 1)], n, m)
 
 
 def enumerate_forests(family: str, n: int, m: int,
                       max_n: int | None = None) -> Iterator[tuple]:
     """Yield every ordered m-tuple of trees with total weight n: :func:`enumerate_forest_forms`."""
-    forms = enumerate_forest_forms(family, n, m, max_n)
-    build = binary_from_word if family == BINARY else ternary_from_preorder
-    return (tuple(map(build, forest)) for forest in forms)
+    build = _pick(family, binary_from_word, ternary_from_preorder)
+    return (tuple(map(build, forest)) for forest in enumerate_forest_forms(family, n, m, max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +430,7 @@ def validate(obj, family: str) -> ValidationReport:
     theirs, so each form is scanned once.  The path is () for a tree and (i,)
     for the i-th component of a forest.  Never raises on foreign input.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    kind = BinaryTree if family == BINARY else ColoredTernaryTree
+    kind = _pick(family, BinaryTree, ColoredTernaryTree)
     forest = (obj,) if isinstance(obj, kind) else obj
     if not isinstance(forest, Sequence):
         return ValidationReport(False, (), f"expected a {kind.__name__} or a forest of them, "
@@ -670,9 +671,7 @@ def parse_ternary(text: str) -> ColoredTernaryTree:
 def parse_forest_forms(text: str, family: str) -> list:
     """Parse one tree per line to its preorder form; the final newline is
     optional, and ParseError offsets are relative to the whole text."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    parse_one = parse_binary_word if family == BINARY else parse_ternary_preorder
+    parse_one = _pick(family, parse_binary_word, parse_ternary_preorder)
     forms = []
     offset = 0
     lines = text.split("\n")

@@ -32,7 +32,7 @@ from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
                     colored_ternary_count, forest_catalan, identity_sides, k_catalan)
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
 from .exact import identity_side  # noqa: F401
-from .workers import WorkerError, run_units  # noqa: F401  (run_suite raises WorkerError)
+from .workers import run_units
 
 
 @dataclass(frozen=True)

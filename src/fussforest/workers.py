@@ -1,11 +1,10 @@
 """Forked workers: zero-argument units run one share per usable CPU.
 
 `verify` runs its checks here and `map` its blocks of lines.  Units share
-nothing, so each process runs every unit of its share and sends back their
-outcomes, pickled over a pipe: what each unit returned, or the exception it
-raised, each tried once for a pickle that loads back.  The caller gets one
-outcome per unit in unit order, the same for any number of workers, and
-decides itself which failure wins.
+nothing, so each process runs every unit of its share; a worker sends back
+each outcome (what the unit returned, or the exception it raised) as one
+pickle, tried once to load back.  The caller gets one outcome per unit in unit
+order, the same for any number of workers, and decides which failure wins.
 """
 
 from __future__ import annotations
@@ -34,23 +33,24 @@ def _outcome(unit):
         return err
 
 
-def _sendable(outcome, name: str):
-    """The outcome if it pickles and loads back; else a WorkerError in its
-    place: with its text for an exception, naming the error for a value."""
+def _pickled(outcome, name: str) -> bytes:
+    """The outcome's pickle if it loads back; else the pickle of a WorkerError in
+    its place: with its text for an exception, naming the error for a value."""
     import pickle  # here, so that start-up does not pay for it
 
     try:
-        pickle.loads(pickle.dumps(outcome))  # some exceptions pickle but do not load
-        return outcome
+        pickle.loads(data := pickle.dumps(outcome))  # some exceptions pickle but do not load
+        return data
     except Exception as err:
-        return WorkerError(
+        return pickle.dumps(WorkerError(
             f"{type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception)
-            else f"a {name} unit returned a value that cannot be sent: {type(err).__name__}: {err}")
+            else f"a {name} unit returned a value that cannot be sent: {type(err).__name__}: {err}"))
 
 
 def _fork(units: list, name: str) -> tuple[int, int]:
-    """Start a worker that runs the units and pickles what `_sendable` makes of
-    their outcomes, as one list, into a pipe; return its pid and the read end."""
+    """Start a worker that runs the units, then writes the pickles `_pickled` makes
+    of their outcomes in one write (a write each could fill the pipe and wait on
+    the caller's own share); return its pid and the pipe's read end."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -60,12 +60,9 @@ def _fork(units: list, name: str) -> tuple[int, int]:
         raise WorkerError(f"cannot start a {name} worker: {err}") from None
     if pid == 0:
         try:
-            import pickle
-
             os.close(read)
-            data = pickle.dumps([_sendable(_outcome(unit), name) for unit in units])
             with open(write, "wb") as stream:
-                stream.write(data)
+                stream.write(b"".join([_pickled(_outcome(unit), name) for unit in units]))
         finally:
             os._exit(0)  # never back into the caller's stack, its buffers or its atexit hooks
     os.close(write)
@@ -73,19 +70,21 @@ def _fork(units: list, name: str) -> tuple[int, int]:
 
 
 def _receive(pid: int, read: int, count: int, name: str) -> list:
-    """Drain a worker's pipe, reap the worker, and return the outcomes of its
-    `count` units: what it sent, or one WorkerError each if it sent nothing."""
+    """Load a worker's `count` outcomes from its pipe, one pickle each, then reap
+    it; each outcome it did not send in full is a WorkerError saying how it ended."""
     import pickle
 
+    outcomes = []
     with open(read, "rb") as stream:
-        data = stream.read()
-    status = os.waitpid(pid, 0)[1]
-    try:
-        return pickle.loads(data)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
-        return [WorkerError(f"{name} worker {pid} {how} before it sent its results")] * count
+        try:
+            while len(outcomes) < count:
+                outcomes.append(pickle.load(stream))
+        except Exception:  # the stream ends, or breaks off, where the worker did
+            pass
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+    error = WorkerError(f"{name} worker {pid} {how} before it sent its results")
+    return outcomes + [error] * (count - len(outcomes))
 
 
 def run_units(units: list, name: str) -> list:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -159,6 +160,40 @@ def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhausti
     code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "3")
     assert code == EXIT_RESOURCE and out == ""
     assert err == f"error: out of resources: {line}\n"
+
+
+class _LateCap(trees.SizeCapError):
+    pass
+
+
+class _LateParse(trees.ParseError):
+    pass
+
+
+class _LateMismatch(cli.FamilyMismatchError):
+    pass
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (trees.SizeCapError("past the cap"), EXIT_CAP),
+    (_LateCap("past the cap"), EXIT_CAP),
+    (trees.ParseError(7, "'('", "'x'"), EXIT_PARSE),
+    (_LateParse(7, "'('", "'x'"), EXIT_PARSE),
+    (cli.FamilyMismatchError("the other family"), EXIT_FAMILY),
+    (_LateMismatch("the other family"), EXIT_FAMILY),
+    (ValueError("out of range"), EXIT_USAGE),
+    (OSError(errno.EACCES, "Permission denied"), EXIT_USAGE),
+], ids=["cap", "cap-subclass", "parse", "parse-subclass", "family", "family-subclass",
+        "value", "os"])
+def test_each_error_line_exits_with_the_code_of_its_type(capsys, monkeypatch, error, exit_code):
+    # One handler prints the error; a subclass takes its base's code, and any
+    # other ValueError or OSError that is not a full disk is a usage error.
+    def fails(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(trees, "enumerate_binary_words", fails)
+    code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "3")
+    assert (code, out, err) == (exit_code, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("color", ["9" * 300, str(2**62)], ids=["300-digits", "2**62"])

@@ -154,6 +154,10 @@ _RANGE_CHECKS = [
     (TruncatedSeries.shift, (S([1, 1]), -1), "TruncatedSeries.shift requires k >= 0, got k=-1"),
     (TruncatedSeries.__pow__, (S([1, 1]), -1),
      "TruncatedSeries.__pow__ requires exponent >= 0, got exponent=-1"),
+    *((TruncatedSeries.x, (order,), f"TruncatedSeries.x requires order >= 0, got order={order}")
+      for order in (-1, -2, -3)),
+    (TruncatedSeries.constant, (5, -1),
+     "TruncatedSeries.constant requires order >= 0, got order=-1"),
     (identity_side, (Identity.TERNARY_FOREST, Side.LHS, -1, 1),
      "identity_side requires n >= 0, got n=-1"),
     (identity_side, (Identity.QUINARY_FOREST, Side.RHS, 3, 0),

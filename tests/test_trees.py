@@ -421,6 +421,19 @@ def test_enumerate_forest_rejects_bad_arguments():
         list(enumerate_forests(BINARY, 1, 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_forest_forms("septenary", 1, 0),  # the family is checked before m
+    lambda: enumerate_forests("septenary", 1, 1),
+    lambda: validate(LEAF, "septenary"),
+    lambda: parse_forest_forms("L\n", "septenary"),
+], ids=["enumerate_forest_forms", "enumerate_forests", "validate", "parse_forest_forms"])
+def test_an_unknown_family_is_refused_with_the_families_named(call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == ("unknown family 'septenary'; "
+                                 "expected one of ('binary', 'colored-ternary')")
+
+
 def test_enumeration_cap():
     with pytest.raises(SizeCapError):
         enumerate_binary(DEFAULT_MAX_N + 1)
@@ -809,11 +822,6 @@ def test_validate_rejects_a_malformed_trusted_form(family, form, fragment):
     report = validate((tree,) if family == BINARY else [leaf(1), leaf(0), tree], family)
     assert (report.ok, report.path) == (False, (0,) if family == BINARY else (2,))
     assert fragment in report.message
-
-
-def test_validate_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        validate(LEAF, "septenary")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import signal
 
 import pytest
 
-from fussforest import bijection, cli, series, trees, verify
+from fussforest import bijection, cli, series, trees, verify, workers
 from fussforest.exact import Identity, Side, identity_side
 from fussforest.trees import LEAF, leaf
 from fussforest.verify import CheckResult
@@ -391,6 +391,6 @@ def test_an_error_that_cannot_be_sent_arrives_as_its_text(cpus, monkeypatch):
 
     _fail_in_worker(monkeypatch, fault)
     cpus(2)
-    with pytest.raises(verify.WorkerError, match="^Local: not picklable$"):
+    with pytest.raises(workers.WorkerError, match="^Local: not picklable$"):
         verify.run_suite("counts", n_max=4, m_max=2)
     assert _no_children_left()

@@ -1,6 +1,7 @@
 """The forked-worker runner that `verify` and `map` share."""
 
 import os
+import pickle
 import re
 import signal
 
@@ -121,5 +122,28 @@ def test_each_unit_of_a_killed_worker_comes_back_as_an_error_that_names_it(monke
         assert type(outcome) is workers.WorkerError
         assert re.fullmatch(rf"test worker \d+ was killed by signal {int(signal.SIGKILL)} "
                             "before it sent its results", str(outcome))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_stream_cut_short_keeps_each_outcome_that_arrived_whole():
+    # The worker sends the pickle of 0, then half the pickle of a list longer
+    # than a pipe holds, and exits: only the second place is an error.
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            cut = pickle.dumps(list(range(50_000)))
+            with open(write, "wb") as stream:
+                stream.write(pickle.dumps(0) + cut[:len(cut) // 2])
+        finally:
+            os._exit(0)
+    os.close(write)
+    outcomes = workers._receive(pid, read, 2, "test")
+    assert outcomes[0] == 0
+    assert type(outcomes[1]) is workers.WorkerError
+    assert str(outcomes[1]) == f"test worker {pid} exited with 0 before it sent its results"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
