@@ -10,9 +10,10 @@ stderr.  ``verify`` runs its checks, and ``map`` its blocks of lines, in
 forked workers, one per usable CPU, and their output is the same for any
 number of them.  When the reader of stdout goes away early (as in
 ``fussforest enumerate ... | head -1``), the command stops quietly with
-exit 0: what was written is all the reader asked for.  Each command
-imports the modules that only it uses (``number`` the exact counts,
-``verify`` the verification suites), so start-up loads no more.
+exit 0: what was written is all the reader asked for.  Start-up loads
+this module alone, and each command imports the modules it runs when it
+starts: ``number`` the exact counts, ``enumerate`` the trees, ``map`` the
+trees, the bijection and the worker runner, and ``verify`` the suites.
 
 ``map`` reads its input as ASCII bytes, the same from a file and from stdin:
 a parse error's offset counts bytes, and a byte that is not ASCII is a parse
@@ -33,11 +34,6 @@ import os
 import sys
 from functools import partial
 
-from . import trees, workers
-# phi and phi_inverse go unused here; perfbench/spans.py wraps them under these names.
-from .bijection import decode, encode, phi, phi_inverse  # noqa: F401
-from .trees import BINARY, COLORED_TERNARY, ParseError, SizeCapError
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -47,6 +43,10 @@ EXIT_FAMILY = 5
 EXIT_RESOURCE = 6
 
 FORMATS = ("sexp", "dot", "json")
+# trees.BINARY and trees.COLORED_TERNARY, written out so that building the
+# parser does not import trees (a test keeps them equal).
+BINARY = "binary"
+COLORED_TERNARY = "colored-ternary"
 # verify.SUITES, written out so that building the parser does not import verify
 # (a test keeps the two equal).
 SUITES = ("identities", "bijection", "series", "counts", "all")
@@ -56,9 +56,33 @@ class FamilyMismatchError(Exception):
     """Input parsed as the opposite tree family from the one requested."""
 
 
-# The exit code of each error that `main` prints as "error: <text>"; any other is a usage error.
-_ERROR_EXITS = ((SizeCapError, EXIT_CAP), (ParseError, EXIT_PARSE),
-                (FamilyMismatchError, EXIT_FAMILY))
+# The exit code of each error, by module and class name, that `main` reports
+# by its class; any other "error: <text>" line is a usage error.
+_ERROR_EXITS = (("fussforest.workers", "WorkerError", EXIT_RESOURCE),
+                ("fussforest.trees", "SizeCapError", EXIT_CAP),
+                ("fussforest.trees", "ParseError", EXIT_PARSE),
+                (__name__, "FamilyMismatchError", EXIT_FAMILY))
+
+
+def _error_exits() -> list[tuple[type, int]]:
+    """(class, exit code) of each row of _ERROR_EXITS whose module is loaded: a
+    module not loaded raised no error, so `main` imports none to report one."""
+    return [(getattr(sys.modules[module], name), code)
+            for module, name, code in _ERROR_EXITS if module in sys.modules]
+
+
+# Forwards to the bijection's maps, which no command calls: perfbench/spans.py
+# wraps them under these names.  They go when the tracer stops wrapping names.
+def phi(tree):
+    from .bijection import phi
+
+    return phi(tree)
+
+
+def phi_inverse(tree):
+    from .bijection import phi_inverse
+
+    return phi_inverse(tree)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +149,9 @@ def _render(forms, text, fmt: str, first: int = 0):
     """Each form's piece of output in the given format: its line of `text` (a
     family's text function), its digraph numbered from `first`, or its JSON string."""
     if fmt == "dot":
-        return map(trees.form_dot, forms, itertools.count(first))
+        from .trees import form_dot
+
+        return map(form_dot, forms, itertools.count(first))
     if fmt == "json":  # tree text holds no character that JSON escapes
         return ('"' + text(form) + '"' for form in forms)
     return (text(form) + "\n" for form in forms)
@@ -155,6 +181,8 @@ def _emit(args, pieces, verb: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from . import trees
+
     if args.family == COLORED_TERNARY:
         forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
         text = trees.ternary_preorder_text
@@ -191,18 +219,22 @@ def _line_blocks(text: str, count: int) -> list[tuple[int, int]]:
 def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list:
     """Parse, map and render the lines of text[start:end], one block of `map`;
     a ParseError is raised with its offset in the whole text."""
+    from .trees import ParseError, parse_forest_forms
+
     try:
-        forms = trees.parse_forest_forms(text[start:end], source)
+        forms = parse_forest_forms(text[start:end], source)
     except ParseError as err:
         raise ParseError(start + err.offset, err.expected, err.found) from None
     return list(render(map(apply_map, forms), first=text.count("\n", 0, start)))
 
 
 def cmd_map(args) -> int:
+    from . import bijection, trees, workers
+
     source, apply_map, target_text, parse_target = (
-        (COLORED_TERNARY, encode, trees.binary_word_text, trees.parse_binary_word)
+        (COLORED_TERNARY, bijection.encode, trees.binary_word_text, trees.parse_binary_word)
         if args.direction == "t2b"
-        else (BINARY, decode, trees.ternary_preorder_text, trees.parse_ternary_preorder)
+        else (BINARY, bijection.decode, trees.ternary_preorder_text, trees.parse_ternary_preorder)
     )
     if args.in_path == "-":
         text = sys.stdin.buffer.read()
@@ -221,14 +253,14 @@ def cmd_map(args) -> int:
     # A line that does not parse wins over every other failure, as in a pass that parses
     # every line before it maps any; failing that, the first failing block's error wins.
     errors = [block for block in blocks if isinstance(block, Exception)]
-    err = min(errors, key=lambda error: not isinstance(error, ParseError), default=None)
-    if isinstance(err, ParseError):
+    err = min(errors, key=lambda error: not isinstance(error, trees.ParseError), default=None)
+    if isinstance(err, trees.ParseError):
         line_no = text.count("\n", 0, err.offset)
         end = text.find("\n", err.offset)
         line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
         try:
             parse_target(line)
-        except ParseError:
+        except trees.ParseError:
             raise err from None
         raise FamilyMismatchError(
             f"line {line_no + 1} parses as the opposite family; check --direction")
@@ -276,7 +308,8 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a full or closed stdout fails here, not in the exit-time flush
         return code
-    except (RecursionError, MemoryError, OverflowError, workers.WorkerError) as err:
+    except (RecursionError, MemoryError, OverflowError,
+            *[kind for kind, code in _error_exits() if code == EXIT_RESOURCE]) as err:
         return _out_of_resources(err)
     except BrokenPipeError:
         _drop_stdout()
@@ -286,7 +319,7 @@ def main(argv=None) -> int:
             _drop_stdout()
             return _out_of_resources(err)
         print(f"error: {err}", file=sys.stderr)
-        return next((code for kind, code in _ERROR_EXITS if isinstance(err, kind)), EXIT_USAGE)
+        return next((code for kind, code in _error_exits() if isinstance(err, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

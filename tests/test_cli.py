@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from fussforest import cli, trees, verify
+from fussforest import bijection, cli, trees, verify
 from fussforest.bijection import encode
 from fussforest.trees import form_dot, parse_binary_word, serialize
 
@@ -565,7 +566,7 @@ def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return encode(form)
 
-    monkeypatch.setattr(cli, "encode", encode_or_die)
+    monkeypatch.setattr(bijection, "encode", encode_or_die)
     src = tmp_path / "in.txt"
     src.write_text(_weight_8_text("t2b"), encoding="ascii")
     dst = tmp_path / "out.txt"
@@ -587,7 +588,7 @@ def test_a_line_that_does_not_parse_wins_over_a_killed_map_worker(tmp_path, caps
             os.kill(os.getpid(), signal.SIGKILL)
         return encode(form)
 
-    monkeypatch.setattr(cli, "encode", encode_or_die)
+    monkeypatch.setattr(bijection, "encode", encode_or_die)
     body = _weight_8_text("t2b") * 2
     src = tmp_path / "in.txt"
     src.write_text(body + "(1: 0 0)\n", encoding="ascii")
@@ -677,6 +678,37 @@ def test_verify_ignores_bounds_its_suite_does_not_read(capsys):
 
 def test_suite_choices_are_the_verify_suites():
     assert cli.SUITES == verify.SUITES
+
+
+def test_family_choices_are_the_tree_families():
+    assert (cli.BINARY, cli.COLORED_TERNARY) == (trees.BINARY, trees.COLORED_TERNARY)
+
+
+@given(colored_ternary_trees)
+def test_cli_phi_forwards_to_the_bijection(tree):
+    image = cli.phi(tree)
+    assert image == bijection.phi(tree)
+    assert cli.phi_inverse(image) == bijection.phi_inverse(image) == tree
+
+
+# sha256 of each command's --help text on an 80-column terminal, as argparse of
+# Python 3.10-3.12 formats it: the parser's text does not depend on which
+# modules start-up loads.
+HELP_DIGESTS = {
+    "": "67347b72e141dfc285c5d203f58d4e558ce8c6edf9fd1a6a6a5ca53bbefe56ca",
+    "number": "aff285ef58ca79b82fb7e2387817e4c45f694726ded1df0512148ccae5c60d03",
+    "enumerate": "c0d80d0f319c69bc6f62f012b56b6f62a8a81729fe42a4a2bf90d86a3278c4e5",
+    "map": "ae7857e2e856092e82f4aabd1a26ee015fff54559c7ed369a888e327a47d354e",
+    "verify": "a103969ca7254d3dd2fc992b3616058df7c1fbaeff51a2872a6d68e98ba45df5",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS, ids=lambda command: command or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *([command] if command else []), "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == HELP_DIGESTS[command], out
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

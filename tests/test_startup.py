@@ -33,6 +33,9 @@ PUBLIC_NAMES = {
 OWNED_NAMES = [(module, name) for module, names in PUBLIC_NAMES.items() for name in names]
 HEAVY = ["fussforest.verify", "fussforest.series", "fussforest.exact",
          "dataclasses", "inspect", "json"]
+# What only enumerate, map and verify run: the trees, the bijection and the
+# worker runner, which brings in threading.
+TREE_MODULES = ["fussforest.trees", "fussforest.bijection", "fussforest.workers", "threading"]
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -43,10 +46,18 @@ def _loaded_after(code: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _loaded_by(exit_code: int, *argv: str) -> set[str]:
+    """The modules loaded once `fussforest.cli.main(argv)` has returned `exit_code`."""
+    return _loaded_after(f"import fussforest.cli; "
+                         f"assert fussforest.cli.main({list(argv)!r}) == {exit_code}")
+
+
 def test_cli_start_up_loads_no_module_only_one_command_uses():
     loaded = _loaded_after("import fussforest.cli; fussforest.cli.build_parser()")
-    assert "fussforest.trees" in loaded
-    assert loaded.isdisjoint(HEAVY), sorted(loaded.intersection(HEAVY))
+    assert {name for name in loaded if name.startswith("fussforest")} == {
+        "fussforest", "fussforest.cli"}
+    unwanted = HEAVY + TREE_MODULES
+    assert loaded.isdisjoint(unwanted), sorted(loaded.intersection(unwanted))
 
 
 def test_bare_package_import_loads_no_submodule():
@@ -56,9 +67,32 @@ def test_bare_package_import_loads_no_submodule():
 
 
 def test_number_loads_the_exact_counts():
-    loaded = _loaded_after("import fussforest.cli; "
-                           "fussforest.cli.main(['number', '--k', '2', '--n', '3'])")
+    loaded = _loaded_by(0, "number", "--k", "2", "--n", "3")
     assert "fussforest.exact" in loaded
+    assert loaded.isdisjoint(TREE_MODULES), sorted(loaded.intersection(TREE_MODULES))
+
+
+def test_an_error_exit_loads_no_module_to_classify_the_error():
+    # Exit 2 for a ValueError of exact: no tree module is imported to rule out its errors.
+    loaded = _loaded_by(2, "number", "--k", "1", "--n", "3")
+    assert "fussforest.exact" in loaded
+    assert loaded.isdisjoint(TREE_MODULES), sorted(loaded.intersection(TREE_MODULES))
+
+
+def test_enumerate_loads_the_trees_alone():
+    loaded = _loaded_by(0, "enumerate", "--family", "binary", "--n", "3")
+    assert "fussforest.trees" in loaded
+    unwanted = ["fussforest.bijection", "fussforest.workers", "threading", "fussforest.exact"]
+    assert loaded.isdisjoint(unwanted), sorted(loaded.intersection(unwanted))
+
+
+def test_map_loads_the_trees_the_bijection_and_the_workers(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("(0: 0 0 0)\n", encoding="ascii")
+    loaded = _loaded_by(0, "map", "--direction", "t2b", "--in", str(src))
+    assert loaded.issuperset(TREE_MODULES)
+    unwanted = ["fussforest.exact", "fussforest.series", "fussforest.verify"]
+    assert loaded.isdisjoint(unwanted), sorted(loaded.intersection(unwanted))
 
 
 def test_public_names_are_pinned():
