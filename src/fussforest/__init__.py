@@ -14,11 +14,55 @@ The package provides four layers that double-check each other:
 The public names below are loaded on first use (PEP 562): ``import
 fussforest`` loads no submodule, and ``fussforest.phi`` loads only
 :mod:`fussforest.bijection` and what it imports.
+
+The family names, error classes and range check that every layer shares
+are defined here, in the one module that all of them load; `trees`, `exact`
+and `workers` re-export them, so each public name keeps its owner.
 """
 
 from importlib import import_module
 
-# Each submodule and the public names it provides, in the order of __all__.
+# The two tree families: complete binary trees and colored complete ternary trees.
+BINARY = "binary"
+COLORED_TERNARY = "colored-ternary"
+
+
+class SizeCapError(ValueError):
+    """Refused an enumeration whose size parameter exceeds the configured cap."""
+
+
+class ParseError(ValueError):
+    """Malformed tree text; carries the byte offset and what was expected there."""
+
+    def __init__(self, offset: int, expected: str, found: str):
+        self.offset = offset
+        self.expected = expected
+        self.found = found
+        super().__init__(f"offset {offset}: expected {expected}, found {found}")
+
+    def __reduce__(self):  # so that the error a `map` worker raised loads in the caller
+        return type(self), (self.offset, self.expected, self.found)
+
+
+class ExactnessError(ArithmeticError):
+    """An internal division left a remainder, or an alternating sum went negative."""
+
+
+class WorkerError(RuntimeError):
+    """A worker could not be started, could not send an outcome, or ended
+    without sending its outcomes."""
+
+
+def _require_least(function: str, *bounds: tuple[str, int | None, int]) -> None:
+    """Raise ValueError for the first (name, value, least) whose value is below its
+    least; a value of None is no bound."""
+    for name, value, least in bounds:
+        if value is not None and value < least:
+            raise ValueError(f"{function} requires {name} >= {least}, got {name}={value}")
+
+
+# Each submodule and the public names it provides (those defined above too,
+# by re-export), in the order of __all__.
 _EXPORTS = {
     "exact": (
         "Count", "ExactnessError", "Identity", "Side", "binomial", "colored_ternary_count",

@@ -1,19 +1,22 @@
 """Command-line interface: number, enumerate, map, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 enumeration
-cap exceeded, 4 parse error (message carries the byte offset), 5 input file
-family mismatch, 6 out of resources (Python's recursion limit, memory or int
-sizes, as for a color of 2**62 or more, a full disk or quota, or a worker,
-of `verify` or `map`, that died without sending its results).
+Exit codes: 0 success, 1 verification failure or failed internal exactness
+check, 2 usage error, 3 enumeration cap exceeded, 4 parse error (message
+carries the byte offset), 5 input file family mismatch, 6 out of resources
+(Python's recursion limit, memory or int sizes, as for a color of 2**62
+or more, a full disk or quota, or a worker, of `verify` or `map`, that
+died without sending its results).
 Stdout is deterministic for identical invocations; counts and timing go to
 stderr.  ``verify`` runs its checks, and ``map`` its blocks of lines, in
 forked workers, one per usable CPU, and their output is the same for any
 number of them.  When the reader of stdout goes away early (as in
 ``fussforest enumerate ... | head -1``), the command stops quietly with
 exit 0: what was written is all the reader asked for.  Start-up loads
-this module alone, and each command imports the modules it runs when it
-starts: ``number`` the exact counts, ``enumerate`` the trees, ``map`` the
-trees, the bijection and the worker runner, and ``verify`` the suites.
+this module and the package root, which defines the family names and the
+error classes that every layer shares, and each command imports the
+modules it runs when it starts: ``number`` the exact counts, ``enumerate``
+the trees, ``map`` the trees, the bijection and the worker runner, and
+``verify`` the suites.
 
 ``map`` reads its input as ASCII bytes, the same from a file and from stdin:
 a parse error's offset counts bytes, and a byte that is not ASCII is a parse
@@ -34,6 +37,8 @@ import os
 import sys
 from functools import partial
 
+from . import BINARY, COLORED_TERNARY, ExactnessError, ParseError, SizeCapError, WorkerError
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -43,10 +48,6 @@ EXIT_FAMILY = 5
 EXIT_RESOURCE = 6
 
 FORMATS = ("sexp", "dot", "json")
-# trees.BINARY and trees.COLORED_TERNARY, written out so that building the
-# parser does not import trees (a test keeps them equal).
-BINARY = "binary"
-COLORED_TERNARY = "colored-ternary"
 # verify.SUITES, written out so that building the parser does not import verify
 # (a test keeps the two equal).
 SUITES = ("identities", "bijection", "series", "counts", "all")
@@ -56,19 +57,10 @@ class FamilyMismatchError(Exception):
     """Input parsed as the opposite tree family from the one requested."""
 
 
-# The exit code of each error, by module and class name, that `main` reports
-# by its class; any other "error: <text>" line is a usage error.
-_ERROR_EXITS = (("fussforest.workers", "WorkerError", EXIT_RESOURCE),
-                ("fussforest.trees", "SizeCapError", EXIT_CAP),
-                ("fussforest.trees", "ParseError", EXIT_PARSE),
-                (__name__, "FamilyMismatchError", EXIT_FAMILY))
-
-
-def _error_exits() -> list[tuple[type, int]]:
-    """(class, exit code) of each row of _ERROR_EXITS whose module is loaded: a
-    module not loaded raised no error, so `main` imports none to report one."""
-    return [(getattr(sys.modules[module], name), code)
-            for module, name, code in _ERROR_EXITS if module in sys.modules]
+# The exit code of each error class that `main` reports on one "error: <text>"
+# line; any other ValueError or OSError reported there is a usage error.
+_ERROR_EXITS = ((ExactnessError, EXIT_VERIFY_FAILED), (SizeCapError, EXIT_CAP),
+                (ParseError, EXIT_PARSE), (FamilyMismatchError, EXIT_FAMILY))
 
 
 # Forwards to the bijection's maps, which no command calls: perfbench/spans.py
@@ -219,7 +211,7 @@ def _line_blocks(text: str, count: int) -> list[tuple[int, int]]:
 def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list:
     """Parse, map and render the lines of text[start:end], one block of `map`;
     a ParseError is raised with its offset in the whole text."""
-    from .trees import ParseError, parse_forest_forms
+    from .trees import parse_forest_forms
 
     try:
         forms = parse_forest_forms(text[start:end], source)
@@ -253,14 +245,14 @@ def cmd_map(args) -> int:
     # A line that does not parse wins over every other failure, as in a pass that parses
     # every line before it maps any; failing that, the first failing block's error wins.
     errors = [block for block in blocks if isinstance(block, Exception)]
-    err = min(errors, key=lambda error: not isinstance(error, trees.ParseError), default=None)
-    if isinstance(err, trees.ParseError):
+    err = min(errors, key=lambda error: not isinstance(error, ParseError), default=None)
+    if isinstance(err, ParseError):
         line_no = text.count("\n", 0, err.offset)
         end = text.find("\n", err.offset)
         line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
         try:
             parse_target(line)
-        except trees.ParseError:
+        except ParseError:
             raise err from None
         raise FamilyMismatchError(
             f"line {line_no + 1} parses as the opposite family; check --direction")
@@ -308,18 +300,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a full or closed stdout fails here, not in the exit-time flush
         return code
-    except (RecursionError, MemoryError, OverflowError,
-            *[kind for kind, code in _error_exits() if code == EXIT_RESOURCE]) as err:
+    except (RecursionError, MemoryError, OverflowError, WorkerError) as err:
         return _out_of_resources(err)
     except BrokenPipeError:
         _drop_stdout()
         return EXIT_OK
-    except (ValueError, OSError, FamilyMismatchError) as err:
+    except (ValueError, OSError, *dict(_ERROR_EXITS)) as err:
         if isinstance(err, OSError) and err.errno in (errno.ENOSPC, errno.EFBIG, errno.EDQUOT):
             _drop_stdout()
             return _out_of_resources(err)
         print(f"error: {err}", file=sys.stderr)
-        return next((code for kind, code in _error_exits() if isinstance(err, kind)), EXIT_USAGE)
+        return next((code for kind, code in _ERROR_EXITS if isinstance(err, kind)), EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -27,12 +27,10 @@ from itertools import count, repeat
 from math import perm
 from operator import floordiv, mul
 
+from . import ExactnessError, _require_least
+
 # Counts are plain nonnegative Python ints; the alias is documentation only.
 Count = int
-
-
-class ExactnessError(ArithmeticError):
-    """An internal division left a remainder, or an alternating sum went negative."""
 
 
 class Identity(Enum):
@@ -73,18 +71,11 @@ def binomial(n: int, k: int) -> Count:
     Totality means identity sums can run p over a safe over-approximation of
     their support without boundary special cases.
     """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    if n < 0:  # compared here, the call only raising: a sweep to n = 300 makes 52,697 calls
+        _require_least("binomial", ("n", n, 0))
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def _require_least(function: str, *bounds: tuple[str, int, int]) -> None:
-    """Raise ValueError for the first (name, value, least) whose value is below its least."""
-    for name, value, least in bounds:
-        if value < least:
-            raise ValueError(f"{function} requires {name} >= {least}, got {name}={value}")
 
 
 def k_catalan(n: int, k: int) -> Count:
@@ -112,8 +103,8 @@ def colored_ternary_count(n: int, p: int) -> Count:
     n-2p color units over them (repetition allowed) gives binom(n+p, n-2p)
     colorings per shape.  Returns 0 when 2p > n (empty family).
     """
-    if n < 0 or p < 0:
-        raise ValueError(f"colored_ternary_count requires n, p >= 0, got n={n}, p={p}")
+    if n < 0 or p < 0:  # compared here, as in binomial: 22,801 calls a sweep to n = 300
+        _require_least("colored_ternary_count", ("n", n, 0), ("p", p, 0))
     if 2 * p > n:
         return 0
     return _ternary_catalan(p) * binomial(n + p, n - 2 * p)

@@ -14,8 +14,9 @@ from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 
+from . import _require_least
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
-from .exact import _exact_div, _require_least, binomial, forest_catalan, identity_side  # noqa: F401
+from .exact import _exact_div, binomial, forest_catalan, identity_side  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ The checks share nothing, so `run_suite` runs them in forked workers, one
 per usable CPU, and puts their results back in report order.  Reports
 render deterministically, the same for any number of workers: each check's
 wall time is kept on its result, but timing never goes into the text or
-JSON output.
+JSON output.  Only `_text` and the checks of the `bijection` and `counts`
+suites import the tree modules, so `identities` and `series` load none.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
-from . import bijection, series, trees
+from . import _require_least, series
 from .exact import (SINGLE_COMPONENT, Identity, Side, binomial, by_parts_terms,
                     colored_ternary_count, forest_catalan, identity_sides, k_catalan)
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
@@ -68,6 +69,8 @@ def _text(value) -> str:
     """How a case shows a value: for a forest of colored ternary preorder
     tuples, the canonical text of each tree followed by ';', str() otherwise."""
     if isinstance(value, tuple):
+        from . import trees
+
         return "".join(trees.ternary_preorder_text(form) + ";" for form in value)
     return str(value)
 
@@ -170,6 +173,8 @@ def _identities_suite(n_max: int, m_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _check_tree_bijection(n_max: int):
+    from . import bijection, trees
+
     # The forward half checks the public maps on tree objects, and so the
     # conversions around encode and decode; the rest runs on forms.
     for n in range(n_max + 1):
@@ -194,6 +199,8 @@ def _check_tree_bijection(n_max: int):
 
 
 def _check_forest_bijection(n_max: int, m_max: int):
+    from . import bijection, trees
+
     for m in range(1, m_max + 1):
         for n, count in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
             colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
@@ -301,6 +308,8 @@ def _count(items) -> int:
 
 
 def _check_binary_generator(n_max: int):
+    from . import trees
+
     for n in range(n_max + 1):
         words = list(trees.enumerate_binary_words(n, max_n=n_max))
         yield {"n": n, "property": "count"}, k_catalan(n, 2), len(words)
@@ -308,6 +317,8 @@ def _check_binary_generator(n_max: int):
 
 
 def _check_colored_generator(n_max: int):
+    from . import trees
+
     zeros = itertools.repeat(0)
     for n in range(n_max + 1):
         for p in range(n // 2 + 1):
@@ -322,6 +333,8 @@ def _check_colored_generator(n_max: int):
 
 
 def _check_forest_generators(n_max: int, m_max: int):
+    from . import trees
+
     for m in range(1, m_max + 1):
         # The ternary forest identity's left side counts colored ternary
         # m-forests of weight n by their internal vertices.
@@ -390,9 +403,8 @@ def run_suite(suite: str, n_max: int | None = None, m_max: int | None = None,
         build, defaults = _SUITES[name]
         bounds = {key: default if given[key] is None else given[key]
                   for key, default in defaults.items()}
-        for key, value in bounds.items():
-            if value < _LEAST_BOUNDS[key]:
-                raise ValueError(f"suite {name} needs {key} >= {_LEAST_BOUNDS[key]}, got {value}")
+        _require_least(f"suite {name}",
+                       *((key, value, _LEAST_BOUNDS[key]) for key, value in bounds.items()))
         units += [partial(_run_check, *row) for row in build(**bounds)]
     outcomes = run_units(units, "verify")
     for outcome in outcomes:  # the first check that raised fails the run

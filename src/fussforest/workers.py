@@ -10,12 +10,10 @@ order, the same for any number of workers, and decides which failure wins.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 
-
-class WorkerError(RuntimeError):
-    """A worker could not be started, could not send an outcome, or ended
-    without sending its outcomes."""
+from . import WorkerError
 
 
 def usable_cpus() -> int:
@@ -36,8 +34,6 @@ def _outcome(unit):
 def _pickled(outcome, name: str) -> bytes:
     """The outcome's pickle if it loads back; else the pickle of a WorkerError in
     its place: with its text for an exception, naming the error for a value."""
-    import pickle  # here, so that start-up does not pay for it
-
     try:
         pickle.loads(data := pickle.dumps(outcome))  # some exceptions pickle but do not load
         return data
@@ -72,8 +68,6 @@ def _fork(units: list, name: str) -> tuple[int, int]:
 def _receive(pid: int, read: int, count: int, name: str) -> list:
     """Load a worker's `count` outcomes from its pipe, one pickle each, then reap
     it; each outcome it did not send in full is a WorkerError saying how it ended."""
-    import pickle
-
     outcomes = []
     with open(read, "rb") as stream:
         try:

@@ -29,7 +29,7 @@ from fussforest.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from fussforest import bijection, cli, trees, verify
+from fussforest import ExactnessError, bijection, cli, exact, trees, verify
 from fussforest.bijection import encode
 from fussforest.trees import form_dot, parse_binary_word, serialize
 
@@ -648,13 +648,14 @@ def test_verify_rejects_unknown_suite(capsys):
 
 
 @pytest.mark.parametrize("suite, bounds, message", [
-    ("identities", ["--n-max", "-1"], "suite identities needs n_max >= 0, got -1"),
-    ("all", ["--n-max", "-3", "--m-max", "-2"], "suite identities needs n_max >= 0, got -3"),
-    ("bijection", ["--m-max", "0"], "suite bijection needs m_max >= 1, got 0"),
-    ("series", ["--order", "-1"], "suite series needs order >= 0, got -1"),
-    ("series", ["--m-max", "0"], "suite series needs m_max >= 1, got 0"),
-    ("counts", ["--n-max", "-1"], "suite counts needs n_max >= 0, got -1"),
-    ("all", ["--order", "-1"], "suite series needs order >= 0, got -1"),
+    ("identities", ["--n-max", "-1"], "suite identities requires n_max >= 0, got n_max=-1"),
+    ("all", ["--n-max", "-3", "--m-max", "-2"],
+     "suite identities requires n_max >= 0, got n_max=-3"),
+    ("bijection", ["--m-max", "0"], "suite bijection requires m_max >= 1, got m_max=0"),
+    ("series", ["--order", "-1"], "suite series requires order >= 0, got order=-1"),
+    ("series", ["--m-max", "0"], "suite series requires m_max >= 1, got m_max=0"),
+    ("counts", ["--n-max", "-1"], "suite counts requires n_max >= 0, got n_max=-1"),
+    ("all", ["--order", "-1"], "suite series requires order >= 0, got order=-1"),
 ])
 def test_verify_bounds_that_check_nothing_are_usage_errors(capsys, suite, bounds, message):
     code, out, err = run(capsys, "verify", "--suite", suite, *bounds)
@@ -680,8 +681,11 @@ def test_suite_choices_are_the_verify_suites():
     assert cli.SUITES == verify.SUITES
 
 
-def test_family_choices_are_the_tree_families():
-    assert (cli.BINARY, cli.COLORED_TERNARY) == (trees.BINARY, trees.COLORED_TERNARY)
+def test_family_choices_are_the_tree_families(capsys):
+    parser = cli.build_parser()
+    for family in trees.FAMILIES:
+        assert parser.parse_args(["enumerate", "--family", family, "--n", "0"]).family == family
+    assert run(capsys, "enumerate", "--family", "ternary", "--n", "0")[0] == EXIT_USAGE
 
 
 @given(colored_ternary_trees)
@@ -726,6 +730,23 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "counts", "--n-max", "2", "--m-max", "1")
     assert code == EXIT_VERIFY_FAILED
     assert "first failure" in out and "FAIL" in out
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["verify", "--suite", "identities", "--n-max", "3", "--m-max", "1"], verify, "identity_sides"),
+    (["number", "--k", "2", "--n", "3"], exact, "k_catalan"),
+], ids=["verify", "number"])
+def test_an_exactness_error_exits_1_with_one_line(capsys, monkeypatch, argv, owner, name):
+    # A division inside a formula that leaves a remainder is a failed check of
+    # the library, not of the user's input: exit 1, one error line, no traceback.
+    # verify's workers are forked, so they run the patched side as well.
+    def inexact(*args, **kwargs):
+        raise ExactnessError("7 is not divisible by 2 (remainder 1)")
+
+    monkeypatch.setattr(owner, name, inexact)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_VERIFY_FAILED, "")
+    assert err == "error: 7 is not divisible by 2 (remainder 1)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,76 @@
+"""The names every layer shares, defined once in the package root: the family
+names, the error classes and the range check, whose one wording each
+"below its least" error reads."""
+
+import pytest
+
+import fussforest
+from fussforest import cli, exact, series, trees, verify, workers
+from fussforest.exact import Identity, Side
+from fussforest.series import TruncatedSeries
+
+# Each shared name and the submodule that owns it among the public names.
+SHARED = [("BINARY", trees), ("COLORED_TERNARY", trees), ("SizeCapError", trees),
+          ("ParseError", trees), ("ExactnessError", exact), ("WorkerError", workers)]
+
+
+@pytest.mark.parametrize("name, owner", SHARED, ids=[name for name, _ in SHARED])
+def test_each_shared_name_is_one_object(name, owner):
+    shared = vars(fussforest)[name]  # defined in the root, not loaded from a submodule
+    assert getattr(owner, name) is shared
+    assert getattr(cli, name) is shared
+
+
+def test_shared_errors_are_defined_in_the_root():
+    for name, _ in SHARED[2:]:
+        assert getattr(fussforest, name).__module__ == "fussforest"
+
+
+# (call, function, name, least, value): each call's first bound below its least.
+BELOW_LEAST = [
+    (lambda: trees.enumerate_binary_words(-1), "enumerate_binary_words", "n", 0, -1),
+    (lambda: trees.enumerate_binary_words(3, max_n=-1), "enumerate_binary_words", "max_n", 0, -1),
+    (lambda: trees.enumerate_binary(-2), "enumerate_binary_words", "n", 0, -2),
+    (lambda: trees.enumerate_ternary_preorders(-1), "enumerate_ternary_preorders", "n", 0, -1),
+    (lambda: trees.enumerate_ternary_preorders(4, -1), "enumerate_ternary_preorders", "p", 0, -1),
+    (lambda: trees.enumerate_ternary_preorders(-1, -1), "enumerate_ternary_preorders", "p", 0, -1),
+    (lambda: trees.enumerate_ternary_preorders(2, max_n=-3), "enumerate_ternary_preorders",
+     "max_n", 0, -3),
+    (lambda: trees.enumerate_colored_ternary(4, -2), "enumerate_ternary_preorders", "p", 0, -2),
+    (lambda: trees.enumerate_forest_forms(trees.BINARY, 2, 0), "enumerate_forest_forms",
+     "m", 1, 0),
+    (lambda: trees.enumerate_forest_forms(trees.COLORED_TERNARY, -1, 1),
+     "enumerate_forest_forms", "n", 0, -1),
+    (lambda: trees.enumerate_forest_forms(trees.BINARY, 1, 1, max_n=-1),
+     "enumerate_forest_forms", "max_n", 0, -1),
+    (lambda: trees.enumerate_forests(trees.COLORED_TERNARY, 2, -1), "enumerate_forest_forms",
+     "m", 1, -1),
+    (lambda: exact.binomial(-1, 0), "binomial", "n", 0, -1),
+    (lambda: exact.k_catalan(-1, 2), "k_catalan", "n", 0, -1),
+    (lambda: exact.k_catalan(3, 1), "k_catalan", "k", 2, 1),
+    (lambda: exact.forest_catalan(2, 2, 0), "forest_catalan", "m", 1, 0),
+    (lambda: exact.colored_ternary_count(-1, 0), "colored_ternary_count", "n", 0, -1),
+    (lambda: exact.colored_ternary_count(4, -1), "colored_ternary_count", "p", 0, -1),
+    (lambda: exact.by_parts_terms(3, 2, 0), "by_parts_terms", "m", 1, 0),
+    (lambda: exact.identity_side(Identity.TERNARY, Side.LHS, -1), "identity_side", "n", 0, -1),
+    (lambda: exact.identity_sides(Identity.QUINARY_FOREST, Side.RHS, 0), "identity_sides",
+     "m", 1, 0),
+    (lambda: series.fuss_catalan_series(2, -1), "fuss_catalan_series", "order", 0, -1),
+    (lambda: series.colored_tree_series(1, 4), "colored_tree_series", "k", 2, 1),
+    (lambda: series.geometric_series_power(0, 4), "geometric_series_power", "j", 1, 0),
+    (lambda: series.forest_expansion_series(0, 4), "forest_expansion_series", "m", 1, 0),
+    (lambda: TruncatedSeries.x(-1), "TruncatedSeries.x", "order", 0, -1),
+    (lambda: TruncatedSeries((1,)) ** -1, "TruncatedSeries.__pow__", "exponent", 0, -1),
+    (lambda: verify.run_suite("identities", n_max=-1), "suite identities", "n_max", 0, -1),
+    (lambda: verify.run_suite("all", order=-2), "suite series", "order", 0, -2),
+    (lambda: verify.run_suite("counts", m_max=0), "suite counts", "m_max", 1, 0),
+]
+
+
+@pytest.mark.parametrize("call, function, name, least, value", BELOW_LEAST,
+                         ids=[f"{row[1]}-{row[2]}" for row in BELOW_LEAST])
+def test_a_value_below_its_least_reads_one_way(call, function, name, least, value):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"{function} requires {name} >= {least}, got {name}={value}"
+

@@ -95,6 +95,25 @@ def test_map_loads_the_trees_the_bijection_and_the_workers(tmp_path):
     assert loaded.isdisjoint(unwanted), sorted(loaded.intersection(unwanted))
 
 
+@pytest.mark.parametrize("suite, bounds, loaded_modules, unloaded_modules", [
+    ("series", ["--order", "4", "--m-max", "1"], [], ["fussforest.trees", "fussforest.bijection"]),
+    ("identities", ["--n-max", "4", "--m-max", "1"], [],
+     ["fussforest.trees", "fussforest.bijection"]),
+    ("counts", ["--n-max", "2", "--m-max", "1"], ["fussforest.trees"], ["fussforest.bijection"]),
+    ("bijection", ["--n-max", "2", "--m-max", "1"],
+     ["fussforest.trees", "fussforest.bijection"], []),
+])
+def test_verify_loads_the_tree_modules_only_for_suites_that_run_them(
+        suite, bounds, loaded_modules, unloaded_modules):
+    # On one usable CPU every check runs in this process, so what it loads shows here.
+    loaded = _loaded_after("import fussforest.cli, fussforest.workers; "
+                           "fussforest.workers.usable_cpus = lambda: 1; "
+                           f"assert fussforest.cli.main({['verify', '--suite', suite, *bounds]!r}) == 0")
+    assert "fussforest.verify" in loaded
+    assert loaded.issuperset(loaded_modules)
+    assert loaded.isdisjoint(unloaded_modules), sorted(loaded.intersection(unloaded_modules))
+
+
 def test_public_names_are_pinned():
     assert fussforest.__all__ == [name for _, name in OWNED_NAMES]
     assert len(set(fussforest.__all__)) == 51
