@@ -1,8 +1,8 @@
 """Truncated formal power series over exact integers.
 
 Everything is computed mod x^(order+1) with plain int coefficients; the
-counting series used here all have integer coefficients, and 1/(1-x)^j is
-built directly from binomials, so no rational arithmetic is ever needed.
+counting series used here all have integer coefficients, and dividing by
+(1-x)^j is j running sums, so no rational arithmetic is ever needed.
 This module only computes; every comparison of a series with its
 functional equation or with a closed form lives in `verify`.
 """
@@ -16,7 +16,7 @@ from operator import add, mul, sub
 
 from . import _require_least
 # identity_side goes unused here; perfbench/spans.py wraps it under this name.
-from .exact import _exact_div, binomial, forest_catalan, identity_side  # noqa: F401
+from .exact import _exact_div, forest_catalan, identity_side  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,17 @@ class TruncatedSeries:
         return TruncatedSeries(((0,) * k + self.coeffs)[:self.order + 1])
 
 
+def _over_one_minus_x(coeffs, j: int) -> list[int]:
+    """The coefficients divided by (1-x)^j: j running sums, each one factor 1/(1-x)."""
+    for _ in range(j):
+        coeffs = accumulate(coeffs)
+    return list(coeffs)
+
+
 def geometric_series_power(j: int, order: int) -> TruncatedSeries:
     """1/(1-x)^j truncated: coefficient of x^i is binom(i+j-1, j-1)."""
-    _require_least("geometric_series_power", ("j", j, 1))
-    return TruncatedSeries(tuple(binomial(i + j - 1, j - 1) for i in range(order + 1)))
+    _require_least("geometric_series_power", ("j", j, 1), ("order", order, 0))
+    return TruncatedSeries(tuple(_over_one_minus_x([1] + [0] * order, j)))
 
 
 def fuss_catalan_series(k: int, order: int) -> TruncatedSeries:
@@ -126,11 +133,9 @@ def colored_tree_series(k: int, order: int) -> TruncatedSeries:
     outer = fuss_catalan_series(k, order // (k - 1))
     acc = [0] * (order + 1)
     for a in reversed(outer.coeffs):
-        acc = ([0] * (k - 1) + acc)[:order + 1]
-        for _ in range(k):
-            acc = list(accumulate(acc))
+        acc = _over_one_minus_x(([0] * (k - 1) + acc)[:order + 1], k)
         acc[0] += a
-    return TruncatedSeries(tuple(accumulate(acc)))
+    return TruncatedSeries(tuple(_over_one_minus_x(acc, 1)))
 
 
 def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
@@ -138,8 +143,14 @@ def forest_expansion_series(m: int, order: int) -> TruncatedSeries:
 
     Expanding the m-th power of the colored ternary series this way is what
     turns the forest counts into the ternary-forest identity; the result must
-    equal colored_tree_series(3, order) ** m.
+    equal colored_tree_series(3, order) ** m.  Each power 1/(1-x)^(3p+m) is
+    the one before it after three more running sums.
     """
-    _require_least("forest_expansion_series", ("m", m, 1))
-    return sum((geometric_series_power(3 * p + m, order).shift(2 * p) * forest_catalan(p, 3, m)
-                for p in range(order // 2 + 1)), TruncatedSeries.constant(0, order))
+    _require_least("forest_expansion_series", ("m", m, 1), ("order", order, 0))
+    power = _over_one_minus_x([1] + [0] * order, m)
+    total = [0] * (order + 1)
+    for p in range(order // 2 + 1):
+        count = forest_catalan(p, 3, m)
+        total[2 * p:] = map(add, total[2 * p:], (count * c for c in power))
+        power = _over_one_minus_x(power, 3)
+    return TruncatedSeries(tuple(total))

@@ -40,21 +40,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_number_binary(capsys):
-    code, out, _ = run(capsys, "number", "--k", "2", "--n", "4")
-    assert code == EXIT_OK and out == "14\n"
-
-
-def test_number_ternary_trivial(capsys):
-    code, out, _ = run(capsys, "number", "--k", "3", "--n", "0")
-    assert code == EXIT_OK and out == "1\n"
-
-
-def test_number_forest(capsys):
-    code, out, _ = run(capsys, "number", "--k", "3", "--n", "2", "--m", "2")
-    assert code == EXIT_OK and out == "7\n"
-
-
 @pytest.mark.parametrize("k, n, digits, tail", [
     (2, 8192, 4926, "3222663750"),
     (5, 4096, 4445, "2056091885"),
@@ -132,11 +117,6 @@ def test_enumerate_dot_format(capsys):
                        "--format", "dot")
     assert code == EXIT_OK
     assert out == 'digraph tree0 {\n  v0 [shape=point, xlabel="1"];\n}\n'
-
-
-def test_enumerate_cap_exit_code(capsys):
-    code, _, err = run(capsys, "enumerate", "--family", "binary", "--n", "13")
-    assert code == EXIT_CAP and "cap" in err
 
 
 def test_enumerate_cap_override(capsys):
@@ -422,13 +402,6 @@ def test_closed_pipe_is_a_quiet_exit(n, cap):
     assert code == EXIT_OK
     assert first == ("(L " * n + "L" + ")" * n + "\n").encode("ascii")  # the right comb
     assert err == b""
-
-
-def test_map_family_mismatch(tmp_path, capsys):
-    src = tmp_path / "binary.txt"
-    src.write_text("(L L)\n", encoding="ascii")
-    code, _, err = run(capsys, "map", "--direction", "t2b", "--in", str(src))
-    assert code == EXIT_FAMILY and "opposite family" in err
 
 
 def test_map_garbage_is_a_parse_error_not_a_mismatch(tmp_path, capsys):

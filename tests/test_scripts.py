@@ -19,9 +19,3 @@ def test_identity_table_prints_matching_sides():
     assert header.split("|")[0].strip() == "n" and set(rule) == {"-"}
     assert [row.split("|")[0].strip() for row in rows] == [str(n) for n in range(13)]
     assert "MISMATCH" not in proc.stdout
-
-
-def test_verify_all_runs_every_suite():
-    proc = _run("verify_all.py", "--n-max", "2", "--m-max", "1", "--order", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("suite all: PASS")

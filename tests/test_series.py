@@ -1,5 +1,7 @@
 """Truncated series engine: arithmetic, substitutions, coefficient cross-checks."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +73,11 @@ def test_geometric_series_power():
     assert geometric_series_power(3, 8) == geometric_series_power(1, 8) ** 3
     with pytest.raises(ValueError):
         geometric_series_power(0, 4)
+    # Running sums build 1/(1-x)^j; math.comb is the second witness.
+    for j in range(1, 9):
+        for order in range(20):
+            expected = tuple(comb(i + j - 1, j - 1) for i in range(order + 1))
+            assert geometric_series_power(j, order).coeffs == expected, (j, order)
 
 
 def test_compose_basics():

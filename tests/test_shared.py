@@ -58,7 +58,9 @@ BELOW_LEAST = [
     (lambda: series.fuss_catalan_series(2, -1), "fuss_catalan_series", "order", 0, -1),
     (lambda: series.colored_tree_series(1, 4), "colored_tree_series", "k", 2, 1),
     (lambda: series.geometric_series_power(0, 4), "geometric_series_power", "j", 1, 0),
+    (lambda: series.geometric_series_power(1, -1), "geometric_series_power", "order", 0, -1),
     (lambda: series.forest_expansion_series(0, 4), "forest_expansion_series", "m", 1, 0),
+    (lambda: series.forest_expansion_series(1, -1), "forest_expansion_series", "order", 0, -1),
     (lambda: TruncatedSeries.x(-1), "TruncatedSeries.x", "order", 0, -1),
     (lambda: TruncatedSeries((1,)) ** -1, "TruncatedSeries.__pow__", "exponent", 0, -1),
     (lambda: verify.run_suite("identities", n_max=-1), "suite identities", "n_max", 0, -1),

@@ -1,7 +1,6 @@
 """Verification sweeps: the routes they compare stay independent, and failures read as trees."""
 
 import ast
-import hashlib
 import inspect
 import itertools
 import os
@@ -267,42 +266,6 @@ def test_all_reports_are_byte_identical_for_one_and_two_cpus(cpus):
         reports.append((report.to_text(), report.to_json()))
     assert reports[0] == reports[1]
     assert "(cases=12737, failures=0)" in reports[0][0]
-
-
-# sha256 of the whole `verify --suite all` stdout at the acceptance bounds,
-# text and --json: every check's name, bounds, case count and verdict, in order.
-ALL_REPORT_SHA256 = {
-    "text": "847213447f1d01eddf2bf11a0367558257bfdb36837a8ddd69629141d00a2eb1",
-    "json": "bb731b3056b8fe19a33bc04d4239027575a9f16c7bc36c519407a0f0cb3ad783",
-}
-
-
-@pytest.mark.parametrize("form", sorted(ALL_REPORT_SHA256))
-def test_the_all_report_is_pinned_by_its_digest(form, capsys):
-    code = cli.main(["verify", "--suite", "all"] + (["--json"] if form == "json" else []))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ALL_REPORT_SHA256[form]
-
-
-# The same for the benchmark's high_order pass: the identities at n <= 300,
-# text and --json, and the series at order 128.
-HIGH_ORDER_REPORT_SHA256 = {
-    ("identities", "text"): "665a090a5b03940cd99b09862fe7f04792a987b6ba1ec5d1fbf75f44446c4429",
-    ("identities", "json"): "fb1e6b778fb7a847c9a696804090584067d189978fe7199318ab9d3431b744ce",
-    ("series", "text"): "7a21b9e41f6ce92bee205c1759378c02aef014b9dda5b694b4f17e8d82ee13d6",
-}
-HIGH_ORDER_BOUNDS = {"identities": ["--n-max", "300", "--m-max", "8"],
-                     "series": ["--order", "128", "--m-max", "6"]}
-
-
-@pytest.mark.parametrize("suite, form", sorted(HIGH_ORDER_REPORT_SHA256))
-def test_the_high_order_reports_are_pinned_by_their_digests(suite, form, capsys):
-    code = cli.main(["verify", "--suite", suite, *HIGH_ORDER_BOUNDS[suite]]
-                    + (["--json"] if form == "json" else []))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == HIGH_ORDER_REPORT_SHA256[(suite, form)]
 
 
 @needs_fork
