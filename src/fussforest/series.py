@@ -26,6 +26,8 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.coeffs, tuple):  # a list or generator, kept as a tuple
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
         for c in self.coeffs:
@@ -49,23 +51,30 @@ class TruncatedSeries:
         _require_least("TruncatedSeries.x", ("order", order, 0))
         return cls((0, 1, *(0,) * (order - 1))[:order + 1])  # order 0: (0,)
 
-    def _coerce(self, other) -> TruncatedSeries:
+    def _termwise(self, op, other) -> TruncatedSeries:
+        """op on each pair of coefficients, to the smaller order.  An int is the
+        constant of this order; any other operand is NotImplemented, so that
+        Python raises TypeError."""
         if isinstance(other, int):
-            return TruncatedSeries.constant(other, self.order)
-        return other
+            other = TruncatedSeries.constant(other, self.order)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return TruncatedSeries(tuple(map(op, self.coeffs, other.coeffs)))
 
     def __add__(self, other) -> TruncatedSeries:
-        return TruncatedSeries(tuple(map(add, self.coeffs, self._coerce(other).coeffs)))
+        return self._termwise(add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> TruncatedSeries:
-        return TruncatedSeries(tuple(map(sub, self.coeffs, self._coerce(other).coeffs)))
+        return self._termwise(sub, other)
 
     def __mul__(self, other) -> TruncatedSeries:
         """The Cauchy product, to the smaller order; an int scales every coefficient."""
         if isinstance(other, int):
             return TruncatedSeries(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         return TruncatedSeries(tuple(sum(map(mul, a[:i + 1], b[i::-1]))
                                      for i in range(min(len(a), len(b)))))

@@ -29,7 +29,9 @@ from pathlib import Path
 import pytest
 
 TABLE = Path(__file__).with_name("cli_contract.json")
-ROWS = {row["name"]: row for row in json.loads(TABLE.read_text(encoding="ascii"))}
+ROWS = {}
+for row in json.loads(TABLE.read_text(encoding="ascii")):  # a repeated name fails collection
+    assert ROWS.setdefault(row["name"], row) is row, f"two rows are named {row['name']!r}"
 KEYS = {"name", "why", "argv", "stdin", "files", "env", "cpus", "stdout_to",
         "exit", "stderr", "stderr_match", "stdout", "sha256"}
 SRC = Path(__file__).resolve().parent.parent / "src"

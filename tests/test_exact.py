@@ -33,11 +33,6 @@ def test_binomial_small_values():
     assert binomial(6, -1) == 0
 
 
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
 @given(st.integers(min_value=1, max_value=120), st.integers(min_value=-3, max_value=123))
 def test_binomial_pascal_recurrence(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
@@ -66,13 +61,6 @@ def test_k_catalan_matches_ternary_enumeration():
         assert k_catalan(p, 3) == sum(1 for _ in enumerate_colored_ternary(2 * p, p))
 
 
-def test_k_catalan_validates_arguments():
-    with pytest.raises(ValueError):
-        k_catalan(-1, 2)
-    with pytest.raises(ValueError):
-        k_catalan(3, 1)
-
-
 def test_division_is_exact_across_the_sweep():
     for k in (2, 3, 5):
         for n in range(201):
@@ -97,13 +85,6 @@ def test_forest_catalan_single_component_is_k_catalan():
     for k in (2, 3, 5):
         for n in range(20):
             assert forest_catalan(n, k, 1) == k_catalan(n, k)
-
-
-def test_forest_catalan_validates_arguments():
-    with pytest.raises(ValueError):
-        forest_catalan(1, 2, 0)
-    with pytest.raises(ValueError):
-        forest_catalan(-1, 2, 1)
 
 
 def test_colored_ternary_count_values():
@@ -201,8 +182,7 @@ def test_a_sweep_over_n_equals_each_side_at_its_n(identity, side):
 
 
 def test_a_sweep_checks_its_arguments_at_the_call():
-    for identity, m in ((Identity.TERNARY_FOREST, 0), (Identity.QUINARY_FOREST, -1),
-                        (Identity.TERNARY, 2), (Identity.QUINARY, 3)):
+    for identity, m in ((Identity.TERNARY, 2), (Identity.QUINARY, 3)):
         for side in Side:
             with pytest.raises(ValueError):
                 identity_sides(identity, side, m)
@@ -248,17 +228,6 @@ def test_by_parts_terms_are_the_literal_terms(k):
                              for p in range(n // (k - 1) + 1)], (n, m)
 
 
-@pytest.mark.parametrize("k, n, m, fragment", [
-    (3, 2, 0, "m >= 1, got m=0"),  # a forest of no trees
-    (5, 4, -2, "m >= 1, got m=-2"),
-    (1, 3, 1, "k >= 2, got k=1"),
-    (3, -1, 1, "n >= 0, got n=-1"),
-])
-def test_by_parts_terms_check_their_arguments_at_the_call(k, n, m, fragment):
-    with pytest.raises(ValueError, match=f"^by_parts_terms requires {fragment}$"):
-        by_parts_terms(k, n, m)
-
-
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6))
 def test_ternary_forest_identity_property(n, m):
     assert identity_side(Identity.TERNARY_FOREST, Side.LHS, n, m) == forest_catalan(n, 2, m)
@@ -272,10 +241,6 @@ def test_single_component_identities_reject_m():
 
 
 def test_identity_side_validates_arguments():
-    with pytest.raises(ValueError):
-        identity_side(Identity.TERNARY_FOREST, Side.LHS, -1, 1)
-    with pytest.raises(ValueError):
-        identity_side(Identity.TERNARY_FOREST, Side.LHS, 1, 0)
     with pytest.raises(ValueError):
         identity_side(Identity.TERNARY_FOREST, "lhs", 1, 1)
 
