@@ -80,7 +80,6 @@ _EXPORTS = {
     "bijection": ("decode", "encode", "phi", "phi_inverse"),
     "series": (
         "TruncatedSeries", "colored_tree_series", "forest_expansion_series", "fuss_catalan_series",
-        "geometric_series_power",
     ),
     "verify": ("VerificationReport", "run_suite"),
 }

@@ -37,7 +37,8 @@ import os
 import sys
 from functools import partial
 
-from . import BINARY, COLORED_TERNARY, ExactnessError, ParseError, SizeCapError, WorkerError
+from . import (BINARY, COLORED_TERNARY, ExactnessError, ParseError, SizeCapError, WorkerError,
+               _require_least)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,6 +47,11 @@ EXIT_CAP = 3
 EXIT_PARSE = 4
 EXIT_FAMILY = 5
 EXIT_RESOURCE = 6
+
+# The enumeration cap, the largest n that `enumerate` writes without --max-n:
+# weight 12 holds 208,012 trees of each family, and each weight after it
+# nearly 4 times as many.
+DEFAULT_MAX_N = 12
 
 FORMATS = ("sexp", "dot", "json")
 # verify.SUITES, written out so that building the parser does not import verify
@@ -98,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict colored ternary trees to p internal vertices")
     p_enum.add_argument("--format", choices=FORMATS, default="sexp")
     p_enum.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p_enum.add_argument("--max-n", type=int, default=None,
+    p_enum.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                         help="acknowledge and override the enumeration cap")
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -176,13 +182,18 @@ def cmd_enumerate(args) -> int:
     from . import trees
 
     if args.family == COLORED_TERNARY:
-        forms = trees.enumerate_ternary_preorders(args.n, args.p, max_n=args.max_n)
+        forms = trees.enumerate_ternary_preorders(args.n, args.p)
         text = trees.ternary_preorder_text
     elif args.p is not None:
         raise ValueError("--p only applies to the colored-ternary family")
     else:
-        forms = trees.enumerate_binary_words(args.n, max_n=args.max_n)
+        forms = trees.enumerate_binary_words(args.n)
         text = trees.binary_word_text
+    # The generators, which are lazy, have checked n and p; the cap comes last.
+    _require_least("enumerate", ("max_n", args.max_n, 0))
+    if args.n > args.max_n:
+        raise SizeCapError(
+            f"n={args.n} exceeds the enumeration cap {args.max_n}; pass --max-n to override")
     _emit(args, _render(forms, text, args.format), "enumerated")
     return EXIT_OK
 

@@ -69,6 +69,9 @@ class TruncatedSeries:
     def __sub__(self, other) -> TruncatedSeries:
         return self._termwise(sub, other)
 
+    def __rsub__(self, other) -> TruncatedSeries:
+        return self._termwise(lambda a, b: b - a, other)
+
     def __mul__(self, other) -> TruncatedSeries:
         """The Cauchy product, to the smaller order; an int scales every coefficient."""
         if isinstance(other, int):
@@ -89,23 +92,12 @@ class TruncatedSeries:
             return TruncatedSeries.constant(1, self.order)
         return reduce(mul, repeat(self, exponent - 1), self)
 
-    def shift(self, k: int) -> TruncatedSeries:
-        """Multiply by x^k, keeping the truncation order."""
-        _require_least("TruncatedSeries.shift", ("k", k, 0))
-        return TruncatedSeries(((0,) * k + self.coeffs)[:self.order + 1])
-
 
 def _over_one_minus_x(coeffs, j: int) -> list[int]:
     """The coefficients divided by (1-x)^j: j running sums, each one factor 1/(1-x)."""
     for _ in range(j):
         coeffs = accumulate(coeffs)
     return list(coeffs)
-
-
-def geometric_series_power(j: int, order: int) -> TruncatedSeries:
-    """1/(1-x)^j truncated: coefficient of x^i is binom(i+j-1, j-1)."""
-    _require_least("geometric_series_power", ("j", j, 1), ("order", order, 0))
-    return TruncatedSeries(tuple(_over_one_minus_x([1] + [0] * order, j)))
 
 
 def fuss_catalan_series(k: int, order: int) -> TruncatedSeries:

@@ -31,15 +31,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 import re
 import sys
 from collections.abc import Iterator, Sequence
 
-from . import BINARY, COLORED_TERNARY, ParseError, SizeCapError, _require_least
-
-DEFAULT_MAX_N = 12
-MAX_N_ENV = "FUSS_FOREST_MAX_N"
+# SizeCapError is re-exported: this module is its public owner, though only the CLI raises it.
+from . import BINARY, COLORED_TERNARY, ParseError, SizeCapError, _require_least  # noqa: F401
 
 FAMILIES = (BINARY, COLORED_TERNARY)
 
@@ -217,25 +214,6 @@ def ternary_weight(tree: ColoredTernaryTree) -> int:
 # The generators yield preorder forms (see below); the object-level ones
 # wrap each form in a tree value.
 
-def _check_cap(function: str, n: int, max_n: int | None, *bounds: tuple) -> None:
-    """Raise ValueError for the first of `bounds`, n and max_n below its least, naming `function`;
-    then SizeCapError for an n over the cap: max_n, else $FUSS_FOREST_MAX_N, else DEFAULT_MAX_N."""
-    _require_least(function, *bounds, ("n", n, 0), ("max_n", max_n, 0))
-    cap = DEFAULT_MAX_N if max_n is None else max_n
-    env = os.environ.get(MAX_N_ENV)
-    if max_n is None and env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{MAX_N_ENV} must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"{MAX_N_ENV} must be >= 0, got {cap}")
-    if n > cap:
-        raise SizeCapError(
-            f"n={n} exceeds the enumeration cap {cap}; pass max_n or set {MAX_N_ENV} to override"
-        )
-
-
 def _next_composition(parts: list[int]) -> bool:
     """Step `parts` in place to the next weak composition in ascending
     lexicographic order: move one unit from the rightmost nonzero part after
@@ -333,24 +311,23 @@ def _ternary_preorders(n: int, p: int | None) -> Iterator[tuple[int, ...]]:
                 more = _next_composition(colors)
 
 
-def enumerate_binary_words(n: int, max_n: int | None = None) -> Iterator[str]:
+def enumerate_binary_words(n: int) -> Iterator[str]:
     """Yield the preorder word of every binary tree with n internal vertices, once each.
 
     Order is fixed: left subtree internal size ascending 0..n-1, recursively,
     as :func:`_shape_words` yields them.
     Total count equals k_catalan(n, 2).
     """
-    _check_cap("enumerate_binary_words", n, max_n)
+    _require_least("enumerate_binary_words", ("n", n, 0))
     return _shape_words(n, 2)
 
 
-def enumerate_binary(n: int, max_n: int | None = None) -> Iterator[BinaryTree]:
+def enumerate_binary(n: int) -> Iterator[BinaryTree]:
     """Yield every complete binary tree with n internal vertices: :func:`enumerate_binary_words`."""
-    return map(binary_from_word, enumerate_binary_words(n, max_n))
+    return map(binary_from_word, enumerate_binary_words(n))
 
 
-def enumerate_ternary_preorders(n: int, p: int | None = None,
-                                max_n: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_ternary_preorders(n: int, p: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield the preorder tuple of every weight-n colored ternary tree once, in fixed order.
 
     With p given, restricts to trees with p internal vertices (color sum
@@ -358,18 +335,16 @@ def enumerate_ternary_preorders(n: int, p: int | None = None,
     from 0 to floor(n/2).  Shapes come in the order of :func:`_shape_words`
     and colors as weak compositions of n-2p assigned to vertices in preorder.
     """
-    _check_cap("enumerate_ternary_preorders", n, max_n, ("p", p, 0))
+    _require_least("enumerate_ternary_preorders", ("p", p, 0), ("n", n, 0))
     return _ternary_preorders(n, p)
 
 
-def enumerate_colored_ternary(n: int, p: int | None = None,
-                              max_n: int | None = None) -> Iterator[ColoredTernaryTree]:
+def enumerate_colored_ternary(n: int, p: int | None = None) -> Iterator[ColoredTernaryTree]:
     """Yield the weight-n colored ternary trees: :func:`enumerate_ternary_preorders`."""
-    return map(ternary_from_preorder, enumerate_ternary_preorders(n, p, max_n))
+    return map(ternary_from_preorder, enumerate_ternary_preorders(n, p))
 
 
-def enumerate_forest_forms(family: str, n: int, m: int,
-                           max_n: int | None = None) -> Iterator[tuple]:
+def enumerate_forest_forms(family: str, n: int, m: int) -> Iterator[tuple]:
     """Yield every ordered m-tuple of forms with total weight n, exactly once.
 
     Components are binary words or colored ternary preorder tuples; weight is
@@ -380,15 +355,14 @@ def enumerate_forest_forms(family: str, n: int, m: int,
     component form of weight <= n, and forests share those forms.
     """
     forms_of = _pick(family, lambda s: _shape_words(s, 2), lambda s: _ternary_preorders(s, None))
-    _check_cap("enumerate_forest_forms", n, max_n, ("m", m, 1))
+    _require_least("enumerate_forest_forms", ("m", m, 1), ("n", n, 0))
     return _forests([list(forms_of(s)) for s in range(n + 1)], n, m)
 
 
-def enumerate_forests(family: str, n: int, m: int,
-                      max_n: int | None = None) -> Iterator[tuple]:
+def enumerate_forests(family: str, n: int, m: int) -> Iterator[tuple]:
     """Yield every ordered m-tuple of trees with total weight n: :func:`enumerate_forest_forms`."""
     build = _pick(family, binary_from_word, ternary_from_preorder)
-    return (tuple(map(build, forest)) for forest in enumerate_forest_forms(family, n, m, max_n))
+    return (tuple(map(build, forest)) for forest in enumerate_forest_forms(family, n, m))
 
 
 # ---------------------------------------------------------------------------

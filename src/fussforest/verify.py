@@ -178,10 +178,10 @@ def _check_tree_bijection(n_max: int):
     # The forward half checks the public maps on tree objects, and so the
     # conversions around encode and decode; the rest runs on forms.
     for n in range(n_max + 1):
-        words = list(trees.enumerate_binary_words(n, max_n=n_max))
+        words = list(trees.enumerate_binary_words(n))
         binary_words = set(words)
         domain, images = set(), []
-        for t in trees.enumerate_colored_ternary(n, max_n=n_max):
+        for t in trees.enumerate_colored_ternary(n):
             b = bijection.phi(t)
             word = b.word
             yield (lambda: {"n": n, "tree": trees.ternary_preorder_text(t.preorder)}, True,
@@ -203,7 +203,7 @@ def _check_forest_bijection(n_max: int, m_max: int):
 
     for m in range(1, m_max + 1):
         for n, count in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
-            colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m, max_n=n_max))
+            colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m))
             yield {"n": n, "m": m, "property": "colored_count"}, count, len(colored)
             images = []
             for forest in colored:
@@ -211,7 +211,7 @@ def _check_forest_bijection(n_max: int, m_max: int):
                 yield (lambda: {"n": n, "m": m, "forest": _text(forest)},
                        forest, tuple(map(bijection.decode, image)))
                 images.append(image)
-            binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m, max_n=n_max))
+            binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m))
             yield {"n": n, "m": m, "property": "binary_count"}, forest_catalan(n, 2, m), len(binary)
             yield {"n": n, "m": m, "property": "image_distinct"}, len(images), len(set(images))
             yield {"n": n, "m": m, "property": "image_onto"}, True, set(images) == binary
@@ -311,7 +311,7 @@ def _check_binary_generator(n_max: int):
     from . import trees
 
     for n in range(n_max + 1):
-        words = list(trees.enumerate_binary_words(n, max_n=n_max))
+        words = list(trees.enumerate_binary_words(n))
         yield {"n": n, "property": "count"}, k_catalan(n, 2), len(words)
         yield {"n": n, "property": "distinct"}, len(words), len(set(words))
 
@@ -322,7 +322,7 @@ def _check_colored_generator(n_max: int):
     zeros = itertools.repeat(0)
     for n in range(n_max + 1):
         for p in range(n // 2 + 1):
-            forms = list(trees.enumerate_ternary_preorders(n, p, max_n=n_max))
+            forms = list(trees.enumerate_ternary_preorders(n, p))
             # An internal vertex of color c is the item ~c = -1 - c, so a form
             # with p negative items has color sum sum(map(abs, form)) - p.
             members = all(sum(map(operator.lt, t, zeros)) == p and sum(map(abs, t)) == n - p
@@ -341,7 +341,7 @@ def _check_forest_generators(n_max: int, m_max: int):
         for n, colored in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
             for family, expected in ((trees.BINARY, forest_catalan(n, 2, m)),
                                      (trees.COLORED_TERNARY, colored)):
-                total = _count(trees.enumerate_forest_forms(family, n, m, max_n=n_max))
+                total = _count(trees.enumerate_forest_forms(family, n, m))
                 yield {"n": n, "m": m, "family": family}, expected, total
 
 

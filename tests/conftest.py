@@ -27,7 +27,7 @@ colored_ternary_trees = st.recursive(
 
 # Binary words 10^4 to 2*10^4 levels deep: the j-th word of a size, j <= 30.
 deep_binary_words = st.builds(
-    lambda n, j: next(itertools.islice(enumerate_binary_words(n, max_n=n), j, None)),
+    lambda n, j: next(itertools.islice(enumerate_binary_words(n), j, None)),
     st.integers(min_value=10_000, max_value=20_000),
     st.integers(min_value=0, max_value=30),
 )

@@ -74,10 +74,10 @@ def test_prefix_code_equals_the_path_construction_to_weight_10():
     # prefix code, on every tree of weight <= 10 in both directions.
     checked = 0
     for n in range(11):
-        for t in enumerate_colored_ternary(n, max_n=10):
+        for t in enumerate_colored_ternary(n):
             assert phi(t) == oracle_paths.phi(t)
             checked += 1
-        for b in enumerate_binary(n, max_n=10):
+        for b in enumerate_binary(n):
             assert phi_inverse(b) == oracle_paths.phi_inverse(b)
             checked += 1
     assert checked == 2 * 23714
@@ -211,23 +211,6 @@ def test_round_trip_from_binary_property(b):
 
 def test_forest_map_is_componentwise():
     assert tuple(map(phi, (leaf(1), leaf(0)))) == (parse_binary("(L L)"), LEAF)
-
-
-def test_forest_bijection_small():
-    for m in (1, 2, 3):
-        for n in range(5):
-            colored = list(enumerate_forests(COLORED_TERNARY, n, m))
-            binary_keys = {
-                tuple(serialize(t) for t in f) for f in enumerate_forests(BINARY, n, m)
-            }
-            assert len(binary_keys) == forest_catalan(n, 2, m)
-            images = []
-            for f in colored:
-                image = tuple(map(phi, f))
-                assert tuple(map(phi_inverse, image)) == f
-                images.append(tuple(serialize(t) for t in image))
-            assert len(set(images)) == len(images) == len(binary_keys)
-            assert set(images) == binary_keys
 
 
 def test_forest_counts_match_closed_form():

@@ -57,7 +57,10 @@ def test_usage_error_on_unknown_flag(capsys):
     assert run(capsys, "number", "--bogus", "1")[0] == EXIT_USAGE
     assert run(capsys, "number", "--k", "2")[0] == EXIT_USAGE
     assert run(capsys, "enumerate", "--family", "binary", "--n", "2", "--p", "1")[0] == EXIT_USAGE
-    assert run(capsys, "enumerate", "--family", "binary", "--n", "3", "--max-n", "-1")[0] == EXIT_USAGE
+    # Past the cap, a range error is still a usage error: the cap is checked last.
+    assert run(capsys, "enumerate", "--family", "binary", "--n", "13", "--max-n", "-1")[0] == EXIT_USAGE
+    assert run(capsys, "enumerate", "--family", "colored-ternary", "--n", "13",
+               "--p", "-1")[0] == EXIT_USAGE
 
 
 def test_enumerate_binary_golden_order(capsys):
@@ -807,7 +810,7 @@ def test_exit_codes_hold_for_any_argv_and_input(case):
     # file left by a map that failed, no usage error from a verify whose
     # bounds are all in range, and the same stdout from every run that passed.
     argv, data, bounds_met = case
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {trees.MAX_N_ENV: "8"}):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "DEFAULT_MAX_N", 8):
         argv = [word.replace("{tmp}", tmp) for word in argv]
         Path(tmp, "in.txt").write_bytes(data)
         code, out, err = _run_captured(argv, data)

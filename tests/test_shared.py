@@ -33,22 +33,20 @@ def test_shared_errors_are_defined_in_the_root():
 # of every range message. A row that repeats an id, "function-name", is a pytest.param.
 BELOW_LEAST = [
     (lambda: trees.enumerate_binary_words(-1), "enumerate_binary_words", "n", 0, -1),
-    (lambda: trees.enumerate_binary_words(3, max_n=-1), "enumerate_binary_words", "max_n", 0, -1),
     (lambda: trees.enumerate_binary(-2), "enumerate_binary_words", "n", 0, -2),
     (lambda: trees.enumerate_ternary_preorders(-1), "enumerate_ternary_preorders", "n", 0, -1),
     (lambda: trees.enumerate_ternary_preorders(4, -1), "enumerate_ternary_preorders", "p", 0, -1),
     (lambda: trees.enumerate_ternary_preorders(-1, -1), "enumerate_ternary_preorders", "p", 0, -1),
-    (lambda: trees.enumerate_ternary_preorders(2, max_n=-3), "enumerate_ternary_preorders",
-     "max_n", 0, -3),
     (lambda: trees.enumerate_colored_ternary(4, -2), "enumerate_ternary_preorders", "p", 0, -2),
     (lambda: trees.enumerate_forest_forms(trees.BINARY, 2, 0), "enumerate_forest_forms",
      "m", 1, 0),
     (lambda: trees.enumerate_forest_forms(trees.COLORED_TERNARY, -1, 1),
      "enumerate_forest_forms", "n", 0, -1),
-    (lambda: trees.enumerate_forest_forms(trees.BINARY, 1, 1, max_n=-1),
-     "enumerate_forest_forms", "max_n", 0, -1),
     (lambda: trees.enumerate_forests(trees.COLORED_TERNARY, 2, -1), "enumerate_forest_forms",
      "m", 1, -1),
+    (lambda: cli.cmd_enumerate(cli.build_parser().parse_args(
+        ["enumerate", "--family", "binary", "--n", "3", "--max-n", "-1"])), "enumerate",
+     "max_n", 0, -1),
     (lambda: exact.binomial(-1, 0), "binomial", "n", 0, -1),
     (lambda: exact.k_catalan(-1, 2), "k_catalan", "n", 0, -1),
     (lambda: exact.k_catalan(3, 1), "k_catalan", "k", 2, 1),
@@ -72,8 +70,6 @@ BELOW_LEAST = [
     (lambda: series.fuss_catalan_series(2, -1), "fuss_catalan_series", "order", 0, -1),
     (lambda: series.colored_tree_series(1, 4), "colored_tree_series", "k", 2, 1),
     (lambda: series.colored_tree_series(3, -2), "colored_tree_series", "order", 0, -2),
-    (lambda: series.geometric_series_power(0, 4), "geometric_series_power", "j", 1, 0),
-    (lambda: series.geometric_series_power(1, -1), "geometric_series_power", "order", 0, -1),
     (lambda: series.forest_expansion_series(0, 4), "forest_expansion_series", "m", 1, 0),
     (lambda: series.forest_expansion_series(1, -1), "forest_expansion_series", "order", 0, -1),
     (lambda: TruncatedSeries.constant(5, -1), "TruncatedSeries.constant", "order", 0, -1),
@@ -81,7 +77,6 @@ BELOW_LEAST = [
     *(pytest.param(lambda order=order: TruncatedSeries.x(order), "TruncatedSeries.x", "order",
                    0, order, id=f"TruncatedSeries.x-order={order}") for order in (-2, -3)),
     (lambda: TruncatedSeries((1,)) ** -1, "TruncatedSeries.__pow__", "exponent", 0, -1),
-    (lambda: TruncatedSeries((1, 1)).shift(-1), "TruncatedSeries.shift", "k", 0, -1),
     (lambda: verify.run_suite("identities", n_max=-1), "suite identities", "n_max", 0, -1),
     pytest.param(lambda: verify.run_suite("all", n_max=-3, m_max=-2), "suite identities",
                  "n_max", 0, -3, id="suite identities-n_max=-3"),
@@ -111,7 +106,7 @@ def test_a_value_below_its_least_reads_one_way(call, function, name, least, valu
 
 
 # Each function whose calls name a range check, with the bounds it adds to a call's tuples.
-ADDED_BOUNDS = {"_require_least": (), "_check_cap": ("n", "max_n"), "_side": ("m",)}
+ADDED_BOUNDS = {"_require_least": (), "_side": ("m",)}
 
 
 def test_every_range_check_under_src_has_a_row():

@@ -32,13 +32,10 @@ from fussforest.exact import colored_ternary_count, forest_catalan, k_catalan
 from fussforest.trees import (
     BINARY,
     COLORED_TERNARY,
-    DEFAULT_MAX_N,
     LEAF,
-    MAX_N_ENV,
     BinaryTree,
     ColoredTernaryTree,
     ParseError,
-    SizeCapError,
     binary_from_word,
     binary_word_text,
     color_sum,
@@ -269,7 +266,7 @@ def test_deep_binary_words_step_without_recursion():
     # Each word steps from the one before in one frame, so trees 10^4 levels
     # deep come out; the last vertex that can step is near the bottom.
     n = 10_000
-    words = enumerate_binary_words(n, max_n=n)
+    words = enumerate_binary_words(n)
     assert [next(words) for _ in range(3)] == [
         "10" * n + "0", "10" * (n - 2) + "11000", "10" * (n - 3) + "1100100"]
 
@@ -294,7 +291,7 @@ def test_deep_binary_words_build_no_table_past_the_cap(monkeypatch):
     # repeat call builds none.
     monkeypatch.setattr(trees, "_TABLES", {})
     started = time.perf_counter()
-    words = enumerate_binary_words(2000, max_n=2000)
+    words = enumerate_binary_words(2000)
     collections.deque(itertools.islice(words, 300_000), maxlen=0)
     assert time.perf_counter() - started < 1.0
     for k, last in _LAST_TABLE_SIZE.items():
@@ -398,7 +395,7 @@ def test_weak_compositions_match_the_recursive_oracle():
 def test_colors_of_a_large_colored_tree_take_no_frame_per_vertex():
     # 1801 vertices share 100 color units, deeper than the default recursion
     # limit if each part of a weak composition took a frame.
-    first = next(enumerate_ternary_preorders(1300, 600, max_n=1300))
+    first = next(enumerate_ternary_preorders(1300, 600))
     assert first == (~0, 0, 0) * 600 + (100,)
 
 
@@ -416,34 +413,17 @@ def test_an_unknown_family_is_refused_with_the_families_named(call):
 
 
 def test_enumeration_cap():
+    # The enumeration cap, 12 unless --max-n raises it, is the CLI's alone: the
+    # library generators enumerate past it and take no max_n.
+    assert next(enumerate_binary_words(500)) == "10" * 500 + "0"
+    assert next(enumerate_binary(13)) == binary_from_word("10" * 13 + "0")
+    assert list(enumerate_colored_ternary(15, 0)) == [leaf(15)]
     for enumerate_n in (enumerate_binary, enumerate_colored_ternary, enumerate_binary_words,
-                        lambda n: enumerate_forests(BINARY, n, 2),
-                        lambda n: enumerate_ternary_preorders(n, 0),
-                        lambda n: enumerate_forest_forms(COLORED_TERNARY, n, 1)):
-        with pytest.raises(SizeCapError):
-            enumerate_n(DEFAULT_MAX_N + 1)
-    # explicit acknowledgment lifts the cap
-    over = DEFAULT_MAX_N + 3
-    assert list(enumerate_colored_ternary(over, 0, max_n=over)) == [leaf(over)]
-    assert next(enumerate_binary_words(500, max_n=500)) == "10" * 500 + "0"
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.setenv(MAX_N_ENV, "5")
-    with pytest.raises(SizeCapError):
-        enumerate_binary(6)
-    monkeypatch.setenv(MAX_N_ENV, "13")
-    assert enumerate_binary(13) is not None
-    monkeypatch.setenv(MAX_N_ENV, "not-a-number")
-    with pytest.raises(ValueError):
-        enumerate_binary(3)
-    # a negative cap is a bad setting, as it is a bad max_n, not a cap every n exceeds
-    monkeypatch.setenv(MAX_N_ENV, "-1")
-    with pytest.raises(ValueError, match=MAX_N_ENV) as err:
-        enumerate_binary(0)
-    assert not isinstance(err.value, SizeCapError)
-    monkeypatch.setenv(MAX_N_ENV, "0")
-    assert enumerate_binary(0) is not None
+                        enumerate_ternary_preorders,
+                        lambda n, **cap: enumerate_forests(BINARY, n, 2, **cap),
+                        lambda n, **cap: enumerate_forest_forms(COLORED_TERNARY, n, 1, **cap)):
+        with pytest.raises(TypeError):
+            enumerate_n(3, max_n=3)
 
 
 # ---------------------------------------------------------------------------

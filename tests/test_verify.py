@@ -65,8 +65,8 @@ def test_counts_checks_catch_a_wrong_form_and_a_lost_forest(monkeypatch):
     # internal count but color sum 3.
     real_forms, real_forests = trees.enumerate_ternary_preorders, trees.enumerate_forest_forms
     for wrong in ((~0, ~0, 0, 1), (~0, 0, 0, 3)):
-        def corrupt(n, p=None, max_n=None, wrong=wrong):
-            forms = list(real_forms(n, p, max_n))
+        def corrupt(n, p=None, wrong=wrong):
+            forms = list(real_forms(n, p))
             return forms[:-1] + [wrong] if (n, p) == (4, 1) else forms
 
         monkeypatch.setattr(trees, "enumerate_ternary_preorders", corrupt)
