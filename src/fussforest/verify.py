@@ -201,15 +201,19 @@ def _check_tree_bijection(n_max: int):
 def _check_forest_bijection(n_max: int, m_max: int):
     from . import bijection, trees
 
+    # Forests share their components: map each component form once each way.
+    encoded = {form: bijection.encode(form)
+               for s in range(n_max + 1) for form in trees.enumerate_ternary_preorders(s)}
+    decoded = {word: bijection.decode(word) for word in encoded.values()}
     for m in range(1, m_max + 1):
         for n, count in zip(range(n_max + 1), identity_sides(Identity.TERNARY_FOREST, Side.LHS, m)):
             colored = list(trees.enumerate_forest_forms(trees.COLORED_TERNARY, n, m))
             yield {"n": n, "m": m, "property": "colored_count"}, count, len(colored)
             images = []
             for forest in colored:
-                image = tuple(map(bijection.encode, forest))
+                image = tuple(map(encoded.__getitem__, forest))
                 yield (lambda: {"n": n, "m": m, "forest": _text(forest)},
-                       forest, tuple(map(bijection.decode, image)))
+                       forest, tuple(map(decoded.__getitem__, image)))
                 images.append(image)
             binary = set(trees.enumerate_forest_forms(trees.BINARY, n, m))
             yield {"n": n, "m": m, "property": "binary_count"}, forest_catalan(n, 2, m), len(binary)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import oracle_paths
 from conftest import binary_trees, colored_ternary_trees
 from fussforest.bijection import decode, encode, phi, phi_inverse
-from fussforest.exact import forest_catalan, k_catalan
+from fussforest.exact import k_catalan
 from fussforest.trees import (
     BINARY,
     COLORED_TERNARY,
@@ -13,7 +13,6 @@ from fussforest.trees import (
     binary_from_word,
     enumerate_binary,
     enumerate_colored_ternary,
-    enumerate_forests,
     internal_count,
     leaf,
     node,
@@ -211,12 +210,6 @@ def test_round_trip_from_binary_property(b):
 
 def test_forest_map_is_componentwise():
     assert tuple(map(phi, (leaf(1), leaf(0)))) == (parse_binary("(L L)"), LEAF)
-
-
-def test_forest_counts_match_closed_form():
-    # both families with 2 components and total weight 3: 14 forests each
-    assert sum(1 for _ in enumerate_forests(COLORED_TERNARY, 3, 2)) == 14
-    assert forest_catalan(3, 2, 2) == 14
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,8 @@ BELOW_LEAST = [
     (lambda: series.forest_expansion_series(0, 4), "forest_expansion_series", "m", 1, 0),
     (lambda: series.forest_expansion_series(1, -1), "forest_expansion_series", "order", 0, -1),
     (lambda: TruncatedSeries.constant(5, -1), "TruncatedSeries.constant", "order", 0, -1),
+    pytest.param(lambda: TruncatedSeries.constant(5, -3), "TruncatedSeries.constant", "order",
+                 0, -3, id="TruncatedSeries.constant-order=-3"),
     (lambda: TruncatedSeries.x(-1), "TruncatedSeries.x", "order", 0, -1),
     *(pytest.param(lambda order=order: TruncatedSeries.x(order), "TruncatedSeries.x", "order",
                    0, order, id=f"TruncatedSeries.x-order={order}") for order in (-2, -3)),
