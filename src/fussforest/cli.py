@@ -28,8 +28,6 @@ first line that does not parse wins over every other failure, a worker that
 died included; failing that, the first failing block's error wins.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import itertools
@@ -155,26 +153,22 @@ def _render(forms, text, fmt: str, first: int = 0):
     return (text(form) + "\n" for form in forms)
 
 
-def _write(stream, pieces, fmt: str) -> int:
-    """Write the pieces `_render` made as they come, JSON items as one array
-    ("[", the items joined by ", ", then "]" and a line end); return how many."""
-    opening, separator, closing = ("[", ", ", "]\n") if fmt == "json" else ("", "", "")
-    stream.write(opening)
-    count = 0
-    for count, piece in enumerate(pieces, 1):
-        stream.write(separator + piece if count > 1 else piece)
-    stream.write(closing)
-    return count
-
-
 def _emit(args, pieces, verb: str) -> None:
-    """Write rendered trees to --out (or stdout); report the count on stderr."""
-    if args.out == "-":
-        count = _write(sys.stdout, pieces, args.format)
-        sys.stdout.flush()  # a full stdout fails here, as a full --out file does on close
-    else:
-        with open(args.out, "w", encoding="ascii") as stream:
-            count = _write(stream, pieces, args.format)
+    """Write the pieces `_render` made as they come to --out (or stdout), JSON
+    items as one array ("[", the items joined by ", ", then "]" and a line
+    end); report the count on stderr."""
+    opening, separator, closing = ("[", ", ", "]\n") if args.format == "json" else ("", "", "")
+    stream = sys.stdout if args.out == "-" else open(args.out, "w", encoding="ascii")
+    try:
+        stream.write(opening)
+        count = 0
+        for count, piece in enumerate(pieces, 1):
+            stream.write(separator + piece if count > 1 else piece)
+        stream.write(closing)
+        stream.flush()  # a full stdout or --out file fails here
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
     print(f"{verb} {count} tree(s)", file=sys.stderr)
 
 
@@ -219,15 +213,24 @@ def _line_blocks(text: str, count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _map_block(text: str, start: int, end: int, source: str, apply_map, render) -> list:
-    """Parse, map and render the lines of text[start:end], one block of `map`;
-    a ParseError is raised with its offset in the whole text."""
+def _map_block(text: str, start: int, end: int, source: str, apply_map, render, parse_target):
+    """Parse, map and render the lines of text[start:end], one block of `map`.
+    Its first line that does not parse raises a FamilyMismatchError if it
+    parses with `parse_target`, else its ParseError; each places the line in
+    the whole text."""
     from .trees import parse_forest_forms
 
     try:
         forms = parse_forest_forms(text[start:end], source)
     except ParseError as err:
-        raise ParseError(start + err.offset, err.expected, err.found) from None
+        at = start + err.offset
+        try:
+            parse_target(text[text.rfind("\n", 0, at) + 1:end].partition("\n")[0])
+        except ParseError:
+            raise ParseError(at, err.expected, err.found) from None
+        line = text.count("\n", 0, at) + 1
+        raise FamilyMismatchError(
+            f"line {line} parses as the opposite family; check --direction") from None
     return list(render(map(apply_map, forms), first=text.count("\n", 0, start)))
 
 
@@ -250,23 +253,14 @@ def cmd_map(args) -> int:
     text = text.decode("ascii", "surrogateescape")
     render = partial(_render, text=target_text, fmt=args.format)
     count = min(workers.usable_cpus(), len(text) // _MIN_BLOCK_BYTES) or 1
-    units = [partial(_map_block, text, start, end, source, apply_map, render)
+    units = [partial(_map_block, text, start, end, source, apply_map, render, parse_target)
              for start, end in _line_blocks(text, count)]
     blocks = workers.run_units(units, "map")
     # A line that does not parse wins over every other failure, as in a pass that parses
     # every line before it maps any; failing that, the first failing block's error wins.
     errors = [block for block in blocks if isinstance(block, Exception)]
-    err = min(errors, key=lambda error: not isinstance(error, ParseError), default=None)
-    if isinstance(err, ParseError):
-        line_no = text.count("\n", 0, err.offset)
-        end = text.find("\n", err.offset)
-        line = text[text.rfind("\n", 0, err.offset) + 1:None if end < 0 else end]
-        try:
-            parse_target(line)
-        except ParseError:
-            raise err from None
-        raise FamilyMismatchError(
-            f"line {line_no + 1} parses as the opposite family; check --direction")
+    err = min(errors, key=lambda error: not isinstance(error, (ParseError, FamilyMismatchError)),
+              default=None)
     if err is not None:
         raise err
     _emit(args, itertools.chain.from_iterable(blocks), "mapped")

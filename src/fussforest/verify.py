@@ -58,7 +58,7 @@ class CheckResult:
         `params` is a dict, or a function returning one, called only when
         the case fails, for labels that cost something to render."""
         self.cases += 1
-        if any(value != expected for value in actual):
+        if actual.count(expected) != len(actual):
             if callable(params):
                 params = params()
             self.failures.append(

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -139,6 +141,31 @@ def test_resource_exhaustion_has_its_own_exit_code(capsys, monkeypatch, exhausti
     code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "3")
     assert code == EXIT_RESOURCE and out == ""
     assert err == f"error: out of resources: {line}\n"
+
+
+def test_memory_error_mid_write_closes_the_out_file(tmp_path, capsys, monkeypatch):
+    # The file --out names is closed on every way out: a MemoryError after
+    # three lines exits 6 with one line, the three lines reach the file, and
+    # no ResourceWarning says that a file was dropped open.
+    words = []
+    text = trees.binary_word_text
+
+    def text_until_exhausted(word):
+        if len(words) == 3:
+            raise MemoryError()
+        words.append(word)
+        return text(word)
+
+    monkeypatch.setattr(trees, "binary_word_text", text_until_exhausted)
+    dst = tmp_path / "out.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "enumerate", "--family", "binary", "--n", "4",
+                             "--out", str(dst))
+        gc.collect()
+    assert (code, out, err) == (EXIT_RESOURCE, "", "error: out of resources: MemoryError\n")
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert dst.read_text(encoding="ascii").count("\n") == 3
 
 
 class _LateCap(trees.SizeCapError):

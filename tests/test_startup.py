@@ -31,8 +31,9 @@ PUBLIC_NAMES = {
     verify: ["VerificationReport", "run_suite"],
 }
 OWNED_NAMES = [(module, name) for module, names in PUBLIC_NAMES.items() for name in names]
+# `cli`'s annotations all evaluate on Python 3.10+, so it needs no `__future__` import.
 HEAVY = ["fussforest.verify", "fussforest.series", "fussforest.exact",
-         "dataclasses", "inspect", "json"]
+         "dataclasses", "inspect", "json", "__future__"]
 # What only enumerate, map and verify run: the trees, the bijection and the
 # worker runner, which brings in threading.
 TREE_MODULES = ["fussforest.trees", "fussforest.bijection", "fussforest.workers", "threading"]
