@@ -6,13 +6,13 @@ Usage: python scripts/bench_layers.py LABEL [--src DIR] [--repeats R] [--out DIR
 The process pins itself to one usable CPU, builds its inputs with no
 randomness (the first 50,000 colored ternary preorders of weight 12, their
 binary words and the text of both), then runs each layer R times (default 7),
-each run a call of 50-500 ms.  As `timeit` does, it collects garbage before a
-run and keeps the collector off during it.  For each layer the file holds the
-min and the median of the R times, in seconds, the sha256 stored below for its
-output, and whether every run's output had it: a layer that is fast but wrong
-makes the script exit 1 (the file is still written, with "matches": false).
-The file also names the pinned CPU, the Python version and the commit of the
-source tree.
+each run a call of 50-500 ms, in R rounds of one run of every layer.  As
+`timeit` does, it collects garbage before a run and keeps the collector off
+during it.  For each layer the file holds the min and the median of the R
+times, in seconds, the sha256 stored below for its output, and whether every
+run's output had it: a layer that is fast but wrong makes the script exit 1
+(the file is still written, with "matches": false).  The file also names the
+pinned CPU, the Python version and the commit of the source tree.
 
 `--src` imports the package from another checkout's `src/` (the default is
 this checkout's), so one copy of this script times a parent commit and its
@@ -63,9 +63,9 @@ def _layers():
     sums = [(Identity.TERNARY_FOREST, Side.LHS), (Identity.QUINARY_FOREST, Side.LHS),
             (Identity.QUINARY_FOREST, Side.RHS)]
     return {
-        "exact": lambda: [value for (identity, side), m in itertools.product(sums, (1, 4, 8))
-                          for value in itertools.islice(exact.identity_sides(identity, side, m),
-                                                        301)],
+        "exact": lambda: [
+            value for (identity, side), m in itertools.product(sums, (1, 4, 8))
+            for value in itertools.islice(exact.identity_sides(identity, side, m), 301)],
         "generators": lambda: [*trees.enumerate_binary_words(11),
                                *trees.enumerate_ternary_preorders(10),
                                *trees.enumerate_forest_forms(trees.COLORED_TERNARY, 10, 3)],
@@ -138,17 +138,22 @@ def main() -> int:
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     cpu = _pin()
-    layers = {}
-    for name, run in _layers().items():
-        times, digests = [], set()
-        for _ in range(args.repeats):
+    runs = _layers()
+    times = {name: [] for name in runs}
+    digests = {name: set() for name in runs}
+    # Round by round, each layer once a round, so that a slow spell on the
+    # host falls on one run of every layer, not on every run of one layer.
+    for _ in range(args.repeats):
+        for name, run in runs.items():
             seconds, values = _timed(run)
-            times.append(seconds)
-            digests.add(_digest(values))
-        layers[name] = {"min_s": min(times), "median_s": statistics.median(times),
-                        "sha256": DIGESTS[name], "matches": digests == {DIGESTS[name]}}
-        print(f"{name:15} min {min(times):.4f} s  median {statistics.median(times):.4f} s"
-              f"{'' if layers[name]['matches'] else '  WRONG OUTPUT'}", file=sys.stderr)
+            times[name].append(seconds)
+            digests[name].add(_digest(values))
+    layers = {name: {"min_s": min(times[name]), "median_s": statistics.median(times[name]),
+                     "sha256": DIGESTS[name], "matches": digests[name] == {DIGESTS[name]}}
+              for name in runs}
+    for name, layer in layers.items():
+        print(f"{name:15} min {layer['min_s']:.4f} s  median {layer['median_s']:.4f} s"
+              f"{'' if layer['matches'] else '  WRONG OUTPUT'}", file=sys.stderr)
     report = {"label": args.label, "commit": _commit(src), "python": platform.python_version(),
               "cpu": {"pinned": cpu, "model": _cpu_model()}, "repeats": args.repeats,
               "layers": layers}
