@@ -3,16 +3,36 @@
 
 Usage: python scripts/bench_layers.py LABEL [--src DIR] [--repeats R] [--out DIR]
 
-The process pins itself to one usable CPU, builds its inputs with no
-randomness (the first 50,000 colored ternary preorders of weight 12, their
-binary words and the text of both), then runs each layer R times (default 7),
-each run a call of 50-500 ms, in R rounds of one run of every layer.  As
-`timeit` does, it collects garbage before a run and keeps the collector off
-during it.  For each layer the file holds the min and the median of the R
-times, in seconds, the sha256 stored below for its output, and whether every
-run's output had it: a layer that is fast but wrong makes the script exit 1
-(the file is still written, with "matches": false).  The file also names the
-pinned CPU, the Python version and the commit of the source tree.
+Each layer runs what one benchmark workload asks of it, at that workload's
+sizes:
+
+  exact       `identity_sides` to n = 300 for the three summed sides at
+              m in {1, 4, 8}, as `verify --suite identities --n-max 300`
+              (`high_order`) sums them
+  generators  every enumeration of `verify --suite counts --n-max 10
+              --m-max 4` (`acceptance`): binary words and colored ternary
+              preorders of each (n, p) to n = 10, and m-forests of both
+              families to n = 8, m = 4
+  encode, decode, parse.binary, parse.ternary, render.binary, render.ternary
+              the per-tree steps of `map` (`map_large`), on uniform random
+              trees (Remy's algorithm) whose weights are log-uniform over
+              [16, 4096], drawn from SEED as `map_large` draws a batch;
+              MAP_WEIGHT in all, three of its batches, as one batch takes
+              `encode` under 20 ms
+  series      `fuss_catalan_series(k, 128)` for k in {2, 3, 5}, as
+              `verify --suite series --order 128` (`high_order`) builds them,
+              SERIES_BUILDS times a run, as one build of the three takes
+              3-6 ms
+
+The process pins itself to one usable CPU, builds those inputs, then runs
+each layer R times (default 7), each run a call of 50-500 ms, in R rounds
+of one run of every layer.  As `timeit` does, it collects garbage before a
+run and keeps the collector off during it.  For each layer the file holds
+the min and the median of the R times, in seconds, and whether every run's
+output had the sha256 stored below: a layer that is fast but wrong makes
+the script exit 1 (the file is still written, with "matches": false).  The
+file also names the pinned CPU, the Python version and the commit of the
+source tree.
 
 `--src` imports the package from another checkout's `src/` (the default is
 this checkout's), so one copy of this script times a parent commit and its
@@ -25,8 +45,10 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -36,19 +58,73 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The sha256 of each layer's output, as `_digest` makes it.  Each was checked once
-# against a route that shares no code with the layer: the oracles under tests/,
-# the literal sums of the identities, k_catalan and the tree objects' text.
+# against a route that shares no code with the layer: the generator oracles under
+# tests/, the prefix code and tree text of the benchmark's oracle, the literal sums
+# of the identities and the closed form of the Fuss-Catalan numbers.
 DIGESTS = {
     "exact": "13d2e57b8a038224404c752c9f67fe05f76bc149249139f1ccc26b72b5640536",
-    "generators": "70aa23b343c8fe15461f3763f24d69f8bfabbe6845be6bac137aea18b35d59e6",
-    "encode": "12176fa4d97c169c8cbcd7228ca84219847cf1e077c485112268747dbc5d0f19",
-    "decode": "76f80847937508f97732754670625e55fd42efa27aa77dad52ff932a90cc6b1b",
-    "parse.binary": "12176fa4d97c169c8cbcd7228ca84219847cf1e077c485112268747dbc5d0f19",
-    "parse.ternary": "76f80847937508f97732754670625e55fd42efa27aa77dad52ff932a90cc6b1b",
-    "render.binary": "f41aaa9174991d7275edf0256545e3ad4c64dd61966e0c24d4ef292bd3219b18",
-    "render.ternary": "4119c8790a357f6aff220cc361daee1e9802f2cef871a1f4496cb7426e97ebb4",
-    "series": "12b8ffe3846f8dc73781b4dd24f1072f39a2d3e4e076e860e77b4ab2d13ad16a",
+    "generators": "d77f3eb82e9796891813b2c06d77e390fdd84a947fe89717a86e8ccf962dfd0f",
+    "encode": "e64ddcc9da5bfd0cebce6b97e3f7b1171898dedbdc23dab2b1ebaa922c502301",
+    "decode": "91c401c6ba8729e276e2fafe630e1a353c4640e79dae75557545c469b47f61f1",
+    "parse.binary": "e64ddcc9da5bfd0cebce6b97e3f7b1171898dedbdc23dab2b1ebaa922c502301",
+    "parse.ternary": "91c401c6ba8729e276e2fafe630e1a353c4640e79dae75557545c469b47f61f1",
+    "render.binary": "acf7ff8aafbe4dea79e84f641c27bedcd8ef6b4012d70c6db09914009cb5c18f",
+    "render.ternary": "786625a82a44b3d9fbbb2a493b19a758c04ee66e1d42cc1024c0e297fe9030da",
+    "series": "8349b5d4b562b143294d92c178cc1bfbd4da74ad042b1ca48e7eebcea0be5954",
 }
+
+SEED = 7
+MAP_WEIGHT = 600_000
+SERIES_BUILDS = 15
+MAP_LOW, MAP_HIGH = 16, 4096
+
+
+def _log_uniform_weights(total: int, rng: random.Random) -> list[int]:
+    """Weights log-uniform over [MAP_LOW, MAP_HIGH] that sum to exactly `total`; the
+    last is cut to fit, and merged into the one before if that leaves it below MAP_LOW."""
+    weights = []
+    while total > 0:
+        w = min(int(math.exp(rng.uniform(math.log(MAP_LOW), math.log(MAP_HIGH + 1)))),
+                MAP_HIGH, total)
+        weights.append(w)
+        total -= w
+    if len(weights) > 1 and weights[-1] < MAP_LOW:
+        weights[-2] += weights.pop()
+    return weights
+
+
+def _remy_word(n: int, rng: random.Random) -> str:
+    """The preorder word of a uniform random binary tree with n internal vertices (Remy):
+    each step puts a new internal vertex above a uniform vertex, its new leaf on a fair side."""
+    left, right, parent = [-1], [-1], [-1]
+    root = 0
+    for _ in range(n):
+        target = rng.randrange(len(left))
+        new_leaf, new_node = len(left), len(left) + 1
+        left += [-1, -1]
+        right += [-1, -1]
+        parent += [new_node, parent[target]]
+        above = parent[target]
+        if above == -1:
+            root = new_node
+        elif left[above] == target:
+            left[above] = new_node
+        else:
+            right[above] = new_node
+        parent[target] = new_node
+        if rng.random() < 0.5:
+            left[new_node], right[new_node] = target, new_leaf
+        else:
+            left[new_node], right[new_node] = new_leaf, target
+    out, stack = [], [root]
+    while stack:
+        vertex = stack.pop()
+        if left[vertex] == -1:
+            out.append("0")
+        else:
+            out.append("1")
+            stack += [right[vertex], left[vertex]]
+    return "".join(out)
 
 
 def _layers():
@@ -56,8 +132,9 @@ def _layers():
     from fussforest import bijection, exact, series, trees
     from fussforest.exact import Identity, Side
 
-    forms = list(itertools.islice(trees.enumerate_ternary_preorders(12), 50_000))
-    words = list(map(bijection.encode, forms))
+    rng = random.Random(SEED)
+    words = [_remy_word(w, rng) for w in _log_uniform_weights(MAP_WEIGHT, rng)]
+    forms = list(map(bijection.decode, words))
     ternary_texts = list(map(trees.ternary_preorder_text, forms))
     binary_texts = list(map(trees.binary_word_text, words))
     sums = [(Identity.TERNARY_FOREST, Side.LHS), (Identity.QUINARY_FOREST, Side.LHS),
@@ -66,16 +143,21 @@ def _layers():
         "exact": lambda: [
             value for (identity, side), m in itertools.product(sums, (1, 4, 8))
             for value in itertools.islice(exact.identity_sides(identity, side, m), 301)],
-        "generators": lambda: [*trees.enumerate_binary_words(11),
-                               *trees.enumerate_ternary_preorders(10),
-                               *trees.enumerate_forest_forms(trees.COLORED_TERNARY, 10, 3)],
+        "generators": lambda: [
+            *(word for n in range(11) for word in trees.enumerate_binary_words(n)),
+            *(form for n in range(11) for p in range(n // 2 + 1)
+              for form in trees.enumerate_ternary_preorders(n, p)),
+            *(forest for m in range(1, 5) for n in range(9)
+              for family in (trees.BINARY, trees.COLORED_TERNARY)
+              for forest in trees.enumerate_forest_forms(family, n, m))],
         "encode": lambda: list(map(bijection.encode, forms)),
         "decode": lambda: list(map(bijection.decode, words)),
         "parse.binary": lambda: list(map(trees.parse_binary_word, binary_texts)),
         "parse.ternary": lambda: list(map(trees.parse_ternary_preorder, ternary_texts)),
         "render.binary": lambda: list(map(trees.binary_word_text, words)),
         "render.ternary": lambda: list(map(trees.ternary_preorder_text, forms)),
-        "series": lambda: list(series.fuss_catalan_series(3, 640).coeffs),
+        "series": lambda: [series.fuss_catalan_series(k, 128).coeffs
+                           for _ in range(SERIES_BUILDS) for k in (2, 3, 5)],
     }
 
 
@@ -149,7 +231,7 @@ def main() -> int:
             times[name].append(seconds)
             digests[name].add(_digest(values))
     layers = {name: {"min_s": min(times[name]), "median_s": statistics.median(times[name]),
-                     "sha256": DIGESTS[name], "matches": digests[name] == {DIGESTS[name]}}
+                     "matches": digests[name] == {DIGESTS[name]}}
               for name in runs}
     for name, layer in layers.items():
         print(f"{name:15} min {layer['min_s']:.4f} s  median {layer['median_s']:.4f} s"
