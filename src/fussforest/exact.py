@@ -8,7 +8,7 @@ sums are hypergeometric in p and in n (Petkovsek-Wilf-Zeilberger, *A=B*).
 One side at one n takes O(n) steps along p: one binomial, then each term from
 the one before it by one big-by-small product and one checked exact division.
 A sweep over n keeps the row of terms and steps it to n+1 by its ratios in n,
-a few C-level maps a row, so the interpreter no longer runs once per term.
+each term by one `_exact_div` call: the time is in the big-integer arithmetic.
 
 Every quantity here is a plain Python int (arbitrary precision), so there is
 no overflow and no rounding anywhere.  All divisions hidden inside the
@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import count, repeat
 from math import perm
-from operator import floordiv, mul
+from operator import mul
 
 from . import ExactnessError, _require_least
 
@@ -126,18 +126,14 @@ def _exact_steps(term: int, numerators, denominators):
 
 
 def _step_row(row: list, numerators, denominators) -> list:
-    """Step each term of a row by its ratio, one C-level map a pass, checked by multiplying back."""
-    products = list(map(mul, row, numerators))
-    quotients = list(map(floordiv, products, denominators))
-    if list(map(mul, quotients, denominators)) != products:
-        list(map(_exact_div, products, denominators))  # raises at the first remainder
-    return quotients
+    """Step each term of a row by its ratio, every division checked exact."""
+    return list(map(_exact_div, map(mul, row, numerators), denominators))
 
 
 # A sum of T(n, p) over p <= n // period, hypergeometric in p and in n: first(n, m)
 # is T(n, 0), p_ratio(n, m, p) gives the numerators and denominators of T(n, q+1) /
-# T(n, q) for q >= p, n_ratio(n, m, size) those of T(n+1, q) / T(n, q) for q < size
-# (its denominators a sequence), and value(sum of the terms, n, m) is the side.
+# T(n, q) for q >= p, n_ratio(n, m, size) those of T(n+1, q) / T(n, q) for q < size,
+# and value(sum of the terms, n, m) is the side.
 _Sum = namedtuple("_Sum", "period first p_ratio n_ratio value")
 
 
@@ -192,7 +188,7 @@ def _alternating_p_ratio(n: int, m: int, p: int):
 def _alternating_n_ratio(n: int, m: int, size: int):
     # (m+n+p)(m+2n-2p+1)(m+2n-2p) / ((m+n)^2 (n-2p+1))
     return (map(mul, range(m + n, m + n + size), map(perm, range(m + 2 * n + 1, m, -2), repeat(2))),
-            list(map(mul, range(n + 1, n + 1 - 2 * size, -2), repeat((m + n) ** 2))))
+            map(mul, range(n + 1, n + 1 - 2 * size, -2), repeat((m + n) ** 2)))
 
 
 def _alternating_value(signed: int, n: int, m: int) -> int:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,10 +8,49 @@ if str(SRC) not in sys.path:
 
 import itertools  # noqa: E402
 
+import pytest  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fussforest.bijection import decode  # noqa: E402
 from fussforest.trees import LEAF, BinaryTree, enumerate_binary_words, leaf, node  # noqa: E402
+
+
+def checkout_env() -> dict:
+    """The caller's environment with this checkout's src/ first on PYTHONPATH,
+    for a subprocess that runs `python -m fussforest`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+# verify and map run their units in forked workers, one per usable CPU.
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set how many CPUs the process may use, as the worker runner sees it.
+    At teardown, every worker the test forked must have been reaped."""
+    def usable(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    yield usable
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@st.composite
+def edited_texts(draw, texts, pieces, edits: int) -> str:
+    """A text of `texts` with up to `edits` edits, each at a random place: cut
+    the rest, insert a piece of `pieces`, delete a character or replace one with a piece."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, edits))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("cut", "insert", "delete", "replace")))
+        piece = draw(pieces) if kind in ("insert", "replace") else ""
+        text = text[:at] + piece + ("" if kind == "cut" else text[at + (kind != "insert"):])
+    return text
+
 
 # Random complete trees, small enough for exhaustive-style properties.
 binary_trees = st.recursive(

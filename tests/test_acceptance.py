@@ -4,12 +4,11 @@ Each test prints one pass/fail line (visible with `pytest -s`).  All checks
 are exact integer equalities; there are no tolerances anywhere.
 """
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
+from conftest import checkout_env
 from fussforest.bijection import phi, phi_inverse
 from fussforest.exact import (
     Identity,
@@ -30,9 +29,6 @@ from fussforest.trees import (
     serialize,
 )
 from fussforest.verify import _check_quinary_three_way, _run_check
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 def report(number, description, failures, started):
     elapsed = time.perf_counter() - started
@@ -177,10 +173,8 @@ def test_criterion_09_generator_cardinalities():
 
 def test_criterion_10_verify_all_is_reproducible():
     started = time.perf_counter()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     command = [sys.executable, "-m", "fussforest", "verify", "--suite", "all"]
-    runs = [subprocess.run(command, capture_output=True, env=env) for _ in range(2)]
+    runs = [subprocess.run(command, capture_output=True, env=checkout_env()) for _ in range(2)]
     failures = []
     for index, proc in enumerate(runs):
         if proc.returncode != 0:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_trees, colored_ternary_trees
+from conftest import binary_trees, checkout_env, colored_ternary_trees, edited_texts, needs_fork
 from fussforest.cli import (
     EXIT_CAP,
     EXIT_FAMILY,
@@ -231,10 +231,8 @@ def test_full_disk_is_out_of_resources(tmp_path, capsys, command):
 def test_full_stdout_is_out_of_resources(command):
     # Block-buffered stdout, as a user gets it: output too short to fill the
     # buffer still has to fail in the command, not in the exit-time flush.
-    env = dict(os.environ)
+    env = checkout_env()
     env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + \
-        env.get("PYTHONPATH", "")
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "fussforest", *command],
                               stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
@@ -386,15 +384,12 @@ def test_map_dot_has_no_depth_limit(tmp_path, capsys, monkeypatch):
 def test_closed_pipe_is_a_quiet_exit(n, cap):
     # `enumerate ... | head -1`: the reader leaves after one line, which at
     # n = 10000 is a tree 10000 levels deep.
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     argv = ["enumerate", "--family", "binary", "--n", str(n)]
     if cap is not None:
         argv += ["--max-n", str(cap)]
     proc = subprocess.Popen(
         [sys.executable, "-m", "fussforest", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env())
     try:
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -432,9 +427,6 @@ def test_map_output_closes_over_enumerate_output(tmp_path, capsys):
 # map runs its blocks of lines in forked workers, one per usable CPU
 # ---------------------------------------------------------------------------
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-
-
 def _weight_8_text(direction: str) -> str:
     """Every tree of weight 8 in the input family of `direction`, one a line."""
     if direction == "t2b":
@@ -444,9 +436,10 @@ def _weight_8_text(direction: str) -> str:
     return "".join(text(form) + "\n" for form in forms)
 
 
-def _map_at(capsys, monkeypatch, cpus, src, direction, *flags):
-    """Run map with `cpus` usable CPUs; (exit code, stdout, stderr, forks made)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+@pytest.fixture
+def map_at(capsys, monkeypatch, usable_cpus):
+    """map_at(cpus, src, direction, *flags) runs map at `cpus` usable CPUs and
+    returns (exit code, stdout, stderr, forks made)."""
     forks = []
     real_fork = os.fork
 
@@ -454,19 +447,20 @@ def _map_at(capsys, monkeypatch, cpus, src, direction, *flags):
         forks.append(None)
         return real_fork()
 
+    def run_map(cpus, src, direction, *flags):
+        usable_cpus(cpus)
+        forks.clear()
+        code, out, err = run(capsys, "map", "--direction", direction, "--in", str(src), *flags)
+        return code, out, err, len(forks)
+
     monkeypatch.setattr(os, "fork", counted_fork)
-    code, out, err = run(capsys, "map", "--direction", direction, "--in", str(src), *flags)
-    monkeypatch.setattr(os, "fork", real_fork)
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
-    return code, out, err, len(forks)
+    return run_map
 
 
 @needs_fork
 @pytest.mark.parametrize("fmt", ["sexp", "dot", "json"])
 @pytest.mark.parametrize("direction", ["t2b", "b2t"])
-def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, capsys, monkeypatch,
-                                                       direction, fmt):
+def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, map_at, direction, fmt):
     text = _weight_8_text(direction)
     assert len(text) > 2 * cli._MIN_BLOCK_BYTES  # two blocks at two CPUs
     src = tmp_path / "in.txt"
@@ -474,10 +468,10 @@ def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, capsys, monkeypat
     outputs = []
     for cpus in (1, 2):
         dst = tmp_path / f"out_{cpus}.txt"
-        code, out, err, forks = _map_at(capsys, monkeypatch, cpus, src, direction, "--format", fmt)
+        code, out, err, forks = map_at(cpus, src, direction, "--format", fmt)
         assert (code, forks) == (EXIT_OK, cpus - 1)
-        assert _map_at(capsys, monkeypatch, cpus, src, direction, "--format", fmt,
-                       "--out", str(dst)) == (EXIT_OK, "", err, cpus - 1)
+        assert map_at(cpus, src, direction, "--format", fmt,
+                      "--out", str(dst)) == (EXIT_OK, "", err, cpus - 1)
         assert dst.read_text(encoding="ascii") == out
         outputs.append((out, err))
     assert outputs[0] == outputs[1]
@@ -487,12 +481,12 @@ def test_map_output_is_the_same_for_one_and_two_cpus(tmp_path, capsys, monkeypat
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("direction", ["t2b", "b2t"])
-def test_map_json_is_json_dumps_of_the_images(tmp_path, capsys, monkeypatch, cpus, direction):
+def test_map_json_is_json_dumps_of_the_images(tmp_path, map_at, cpus, direction):
     src = tmp_path / "in.txt"
     src.write_text(_weight_8_text(direction), encoding="ascii")
-    code, images, _, _ = _map_at(capsys, monkeypatch, cpus, src, direction)
+    code, images, _, _ = map_at(cpus, src, direction)
     assert code == EXIT_OK
-    code, out, _, forks = _map_at(capsys, monkeypatch, cpus, src, direction, "--format", "json")
+    code, out, _, forks = map_at(cpus, src, direction, "--format", "json")
     assert (code, forks) == (EXIT_OK, cpus - 1)
     assert out == json.dumps(images.splitlines()) + "\n"
 
@@ -520,7 +514,7 @@ _LAST_BLOCK_FAILURES = [
 @pytest.mark.parametrize("direction, head, tail, offset, exit_code, message", _LAST_BLOCK_FAILURES,
                          ids=["parse", "parse-ternary", "family", "family-no-final-newline",
                               "huge-color", "parse-first"])
-def test_map_failure_in_the_last_block(tmp_path, capsys, monkeypatch, cpus,
+def test_map_failure_in_the_last_block(tmp_path, map_at, cpus,
                                        direction, head, tail, offset, exit_code, message):
     body = head + _weight_8_text(direction)
     src = tmp_path / "in.txt"
@@ -528,14 +522,14 @@ def test_map_failure_in_the_last_block(tmp_path, capsys, monkeypatch, cpus,
     dst = tmp_path / "out.txt"
     message = message.format(at=len(body) + offset, line=body.count("\n") + 1)
     for flags in ([], ["--out", str(dst)]):
-        code, out, err, forks = _map_at(capsys, monkeypatch, cpus, src, direction, *flags)
+        code, out, err, forks = map_at(cpus, src, direction, *flags)
         assert (code, out, forks) == (exit_code, "", cpus - 1)
         assert err.startswith(message) and err.count("\n") == 1
         assert not dst.exists()
 
 
-@needs_fork
-def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
+def _kill_map_workers(monkeypatch) -> None:
+    """Make each map worker, but not the caller, die by SIGKILL when it encodes a tree."""
     caller = os.getpid()
 
     def encode_or_die(form):
@@ -544,10 +538,15 @@ def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
         return encode(form)
 
     monkeypatch.setattr(bijection, "encode", encode_or_die)
+
+
+@needs_fork
+def test_killed_map_worker_exits_6_with_one_line(tmp_path, monkeypatch, map_at):
+    _kill_map_workers(monkeypatch)
     src = tmp_path / "in.txt"
     src.write_text(_weight_8_text("t2b"), encoding="ascii")
     dst = tmp_path / "out.txt"
-    code, out, err, forks = _map_at(capsys, monkeypatch, 2, src, "t2b", "--out", str(dst))
+    code, out, err, forks = map_at(2, src, "t2b", "--out", str(dst))
     assert (code, out, forks) == (EXIT_RESOURCE, "", 1)
     assert re.fullmatch(r"error: out of resources: WorkerError: map worker \d+ was killed by "
                         rf"signal {int(signal.SIGKILL)} before it sent its results\n", err)
@@ -555,21 +554,14 @@ def test_killed_map_worker_exits_6_with_one_line(tmp_path, capsys, monkeypatch):
 
 
 @needs_fork
-def test_a_line_that_does_not_parse_wins_over_a_killed_map_worker(tmp_path, capsys, monkeypatch):
+def test_a_line_that_does_not_parse_wins_over_a_killed_map_worker(tmp_path, monkeypatch, map_at):
     # Three blocks at three CPUs: the caller maps the first, the worker that
     # maps the second is killed, and the last block's bad line is met in parsing.
-    caller = os.getpid()
-
-    def encode_or_die(form):
-        if os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return encode(form)
-
-    monkeypatch.setattr(bijection, "encode", encode_or_die)
+    _kill_map_workers(monkeypatch)
     body = _weight_8_text("t2b") * 2
     src = tmp_path / "in.txt"
     src.write_text(body + "(1: 0 0)\n", encoding="ascii")
-    code, out, err, forks = _map_at(capsys, monkeypatch, 3, src, "t2b")
+    code, out, err, forks = map_at(3, src, "t2b")
     assert (code, out, forks) == (EXIT_PARSE, "", 2)
     assert err == f"error: offset {len(body) + 7}: expected a color digit or '(', found ')'\n"
 
@@ -727,14 +719,7 @@ def _often(usual, *rare):
 _HUGE = "9" * 300
 _NOT_ASCII = st.binary(min_size=1, max_size=4).map(lambda b: b + bytes([0x80 | b[0]]))
 _ODD_LINE = st.sampled_from([_HUGE, f"({_HUGE}: 0 0 0)", f"(0: 0 {_HUGE} 0)", ""]).map(str.encode)
-
-
-@st.composite
-def _broken(draw, texts):
-    text = draw(texts)
-    at = draw(st.integers(0, len(text)))
-    piece = draw(st.sampled_from(["", "(", ")", "L", "0", "7", ":", " ", "\t", "x", "-"]))
-    return text[:at] + piece + text[at + draw(st.integers(0, 1)):]
+_PIECES = st.sampled_from(["", "(", ")", "L", "0", "7", ":", " ", "\t", "x", "-"])
 
 
 @st.composite
@@ -743,7 +728,7 @@ def _input(draw):
     not ASCII, with a 300-digit color, or empty."""
     ours, theirs = draw(st.permutations([binary_trees, colored_ternary_trees]))
     texts = ours.map(serialize)
-    line = _often(texts.map(str.encode), _broken(texts).map(str.encode),
+    line = _often(texts.map(str.encode), edited_texts(texts, _PIECES, 1).map(str.encode),
                   theirs.map(serialize).map(str.encode), _NOT_ASCII, _ODD_LINE)
     return b"\n".join(draw(st.lists(line, max_size=5))) + draw(st.sampled_from([b"", b"\n"]))
 

@@ -166,8 +166,10 @@ def test_a_sweep_checks_its_arguments_at_the_call():
 def test_a_row_step_that_does_not_divide_raises():
     # 7 * 1 // 2 would be 3: the floor division alone returns a wrong number.
     assert exact._step_row([6, 8], [1, 3], range(3, 1, -1)) == [2, 12]
-    with pytest.raises(ExactnessError):
-        exact._step_row([6, 7], [1, 1], [3, 2])
+    # Denominators that can be read only once are checked too.
+    for denominators in ([3, 2], iter([3, 2])):
+        with pytest.raises(ExactnessError):
+            exact._step_row([6, 7], [1, 1], denominators)
     # A wrong ratio in n inside a sweep raises at the first row it touches.
     good = exact._SIDES[Identity.TERNARY_FOREST][0]
     wrong = good._replace(n_ratio=lambda n, m, size: (range(n + m, n + m + size),

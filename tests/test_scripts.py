@@ -1,5 +1,6 @@
 """The scripts under scripts/, each run as its own process from the checkout."""
 
+import ast
 import json
 import platform
 import subprocess
@@ -38,3 +39,16 @@ def test_bench_layers_times_every_layer_and_checks_its_output(tmp_path):
         assert list(made["layers"]) == LAYERS
         for name, layer in made["layers"].items():
             assert 0 < layer["min_s"] <= layer["median_s"] and layer["matches"], name
+
+
+def test_scripts_import_only_the_standard_library_and_fussforest():
+    # A script runs from any checkout, as bench_layers.py does with --src: it
+    # may not import the benchmark, the tests or a package not installed.
+    allowed = sys.stdlib_module_names | {"fussforest"}
+    for script in SCRIPTS.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(script.read_text(encoding="utf-8"))))
+        modules = [alias.name for node in nodes if isinstance(node, ast.Import)
+                   for alias in node.names]
+        modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        assert {module for module in modules if module.split(".")[0] not in allowed} == set(), \
+            script.name

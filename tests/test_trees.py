@@ -23,6 +23,7 @@ from conftest import (
     colored_ternary_trees,
     deep_binary_words,
     deep_colored_preorders,
+    edited_texts,
     wide_binary_words,
     wide_colored_preorders,
 )
@@ -580,28 +581,9 @@ def test_form_routines_on_deep_colored_preorders(preorder):
 # Parser fuzz.  Texts are raw bytes, or canonical texts cut short or with a
 # few bytes inserted, deleted or replaced, so that errors also occur deep in
 # the grammar.
-_GRAMMAR_BYTES = st.sampled_from(list(b"()L0123456789: \t\nx-"))
-
-
-@st.composite
-def _fuzz_bytes(draw) -> bytes:
-    if draw(st.booleans()):
-        return draw(st.binary(max_size=40))
-    data = bytearray(serialize(draw(binary_trees | colored_ternary_trees)).encode("ascii"))
-    for _ in range(draw(st.integers(0, 3))):
-        pos = draw(st.integers(0, len(data)))
-        action = draw(st.sampled_from(("cut", "insert", "delete", "replace")))
-        byte = draw(_GRAMMAR_BYTES)
-        if action == "cut":
-            del data[pos:]
-        elif action == "insert":
-            data.insert(pos, byte)
-        elif pos < len(data):
-            if action == "delete":
-                del data[pos]
-            else:
-                data[pos] = byte
-    return bytes(data)
+_TREE_TEXTS = (binary_trees | colored_ternary_trees).map(serialize)
+_FUZZ_BYTES = st.binary(max_size=40) | edited_texts(
+    _TREE_TEXTS, st.sampled_from("()L0123456789: \t\nx-"), 3).map(str.encode)
 
 
 def _outcome(parse, text):
@@ -612,7 +594,7 @@ def _outcome(parse, text):
 
 
 @settings(max_examples=400)
-@given(st.text() | _fuzz_bytes().map(lambda data: data.decode("latin-1")))
+@given(st.text() | _FUZZ_BYTES.map(lambda data: data.decode("latin-1")))
 def test_parsers_raise_only_parse_errors_in_range(text):
     for parse in (parse_binary_word, parse_ternary_preorder):
         try:
@@ -622,7 +604,7 @@ def test_parsers_raise_only_parse_errors_in_range(text):
 
 
 @settings(max_examples=400)
-@given(_fuzz_bytes().map(lambda data: bytes(b & 0x7F for b in data).decode("ascii")))
+@given(_FUZZ_BYTES.map(lambda data: bytes(b & 0x7F for b in data).decode("ascii")))
 def test_parsers_match_the_recursive_oracle(text):
     # On ASCII text; the oracle also takes non-ASCII digits (str.isdigit).
     assert _outcome(parse_binary, text) == _outcome(oracle_paths.parse_binary, text)
@@ -636,24 +618,8 @@ _ORACLE_PIECES = st.sampled_from(
     [" ", "\t", "( 3:", "3:", "(:", "\udcc3", "9" * 4301, "(", ")", "L", "0", ":"])
 
 
-@st.composite
-def _mutated_texts(draw) -> str:
-    text = serialize(draw(binary_trees | colored_ternary_trees))
-    for _ in range(draw(st.integers(0, 4))):
-        pos = draw(st.integers(0, len(text)))
-        action = draw(st.sampled_from(("cut", "insert", "delete", "replace")))
-        piece = draw(_ORACLE_PIECES)
-        if action == "cut":
-            text = text[:pos]
-        elif action == "insert":
-            text = text[:pos] + piece + text[pos:]
-        else:
-            text = text[:pos] + ("" if action == "delete" else piece) + text[pos + 1:]
-    return text
-
-
 @settings(max_examples=200)
-@given(_mutated_texts())
+@given(edited_texts(_TREE_TEXTS, _ORACLE_PIECES, 4))
 def test_parsers_match_the_flat_oracle(text):
     # The same form, or a ParseError with the same offset, expectation and find.
     assert _outcome(parse_binary_word, text) == _outcome(oracle_parsers.parse_binary_word, text)

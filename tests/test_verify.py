@@ -9,6 +9,7 @@ import signal
 
 import pytest
 
+from conftest import needs_fork
 from fussforest import bijection, cli, series, trees, verify, workers
 from fussforest.exact import Identity, Side, identity_side
 from fussforest.trees import LEAF, leaf
@@ -237,31 +238,11 @@ def test_check_seconds_are_recorded_but_never_rendered():
 # Checks run in forked workers, one per usable CPU
 # ---------------------------------------------------------------------------
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the process may use, as verify sees it."""
-    def usable(count: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-    return usable
-
-
-def _no_children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 @needs_fork
-def test_all_reports_are_byte_identical_for_one_and_two_cpus(cpus):
+def test_all_reports_are_byte_identical_for_one_and_two_cpus(usable_cpus):
     reports = []
     for count in (1, 2):
-        cpus(count)
+        usable_cpus(count)
         report = verify.run_suite("all")
         reports.append((report.to_text(), report.to_json()))
     assert reports[0] == reports[1]
@@ -269,7 +250,7 @@ def test_all_reports_are_byte_identical_for_one_and_two_cpus(cpus):
 
 
 @needs_fork
-def test_units_run_in_one_process_per_cpu_and_workers_are_reaped(cpus, monkeypatch):
+def test_units_run_in_one_process_per_cpu_and_workers_are_reaped(usable_cpus, monkeypatch):
     def where(**bounds):
         # One failing case whose label is the pid of the process that ran it.
         yield {"pid": os.getpid()}, True, False
@@ -280,12 +261,11 @@ def test_units_run_in_one_process_per_cpu_and_workers_are_reaped(cpus, monkeypat
     for name in ("_check_binary_generator", "_check_colored_generator",
                  "_check_forest_generators"):
         monkeypatch.setattr(verify, name, where)
-    cpus(1)
+    usable_cpus(1)
     assert reported_pids() == [os.getpid()] * 3
-    cpus(2)
+    usable_cpus(2)
     pids = reported_pids()
     assert pids[0] == pids[2] == os.getpid() != pids[1]
-    assert _no_children_left()
 
 
 def _fail_in_worker(monkeypatch, fault) -> None:
@@ -300,34 +280,32 @@ def _fail_in_worker(monkeypatch, fault) -> None:
 
 
 @needs_fork
-def test_memory_error_in_a_worker_exits_6_with_one_line(cpus, monkeypatch, capsys):
+def test_memory_error_in_a_worker_exits_6_with_one_line(usable_cpus, monkeypatch, capsys):
     def fault():
         raise MemoryError("worker out of memory")
 
     _fail_in_worker(monkeypatch, fault)
-    cpus(2)
+    usable_cpus(2)
     code = cli.main(["verify", "--suite", "counts", "--n-max", "4", "--m-max", "2"])
     out, err = capsys.readouterr()
     assert (code, out) == (cli.EXIT_RESOURCE, "")
     assert err == "error: out of resources: MemoryError: worker out of memory\n"
-    assert _no_children_left()
 
 
 @needs_fork
-def test_worker_killed_by_a_signal_exits_6_without_a_traceback(cpus, monkeypatch, capsys):
+def test_worker_killed_by_a_signal_exits_6_without_a_traceback(usable_cpus, monkeypatch, capsys):
     _fail_in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    cpus(2)
+    usable_cpus(2)
     code = cli.main(["verify", "--suite", "counts", "--n-max", "4", "--m-max", "2"])
     out, err = capsys.readouterr()
     assert (code, out) == (cli.EXIT_RESOURCE, "")
     assert err.count("\n") == 1
     assert err.startswith("error: out of resources: WorkerError: verify worker ")
     assert err.endswith(f" was killed by signal {int(signal.SIGKILL)} before it sent its results\n")
-    assert _no_children_left()
 
 
 @needs_fork
-def test_the_lowest_failing_unit_raises_with_its_own_type(cpus, monkeypatch):
+def test_the_lowest_failing_unit_raises_with_its_own_type(usable_cpus, monkeypatch):
     # Unit 1 fails in the worker, unit 2 in the caller: unit 1's error wins.
     def worker_fault():
         raise trees.SizeCapError("unit 1")
@@ -337,15 +315,14 @@ def test_the_lowest_failing_unit_raises_with_its_own_type(cpus, monkeypatch):
 
     _fail_in_worker(monkeypatch, worker_fault)
     monkeypatch.setattr(verify, "_check_forest_generators", caller_fault)
-    cpus(2)
+    usable_cpus(2)
     with pytest.raises(trees.SizeCapError, match="^unit 1$") as raised:
         verify.run_suite("counts", n_max=4, m_max=2)
     assert type(raised.value) is trees.SizeCapError
-    assert _no_children_left()
 
 
 @needs_fork
-def test_an_error_that_cannot_be_sent_arrives_as_its_text(cpus, monkeypatch):
+def test_an_error_that_cannot_be_sent_arrives_as_its_text(usable_cpus, monkeypatch):
     class Local(Exception):  # a local class does not pickle
         pass
 
@@ -353,7 +330,6 @@ def test_an_error_that_cannot_be_sent_arrives_as_its_text(cpus, monkeypatch):
         raise Local("not picklable")
 
     _fail_in_worker(monkeypatch, fault)
-    cpus(2)
+    usable_cpus(2)
     with pytest.raises(workers.WorkerError, match="^Local: not picklable$"):
         verify.run_suite("counts", n_max=4, m_max=2)
-    assert _no_children_left()
