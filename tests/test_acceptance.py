@@ -30,6 +30,7 @@ from fussforest.trees import (
 )
 from fussforest.verify import _check_quinary_three_way, _run_check
 
+
 def report(number, description, failures, started):
     elapsed = time.perf_counter() - started
     status = "PASS" if not failures else f"FAIL ({len(failures)} cases)"

@@ -50,5 +50,5 @@ def test_scripts_import_only_the_standard_library_and_fussforest():
         modules = [alias.name for node in nodes if isinstance(node, ast.Import)
                    for alias in node.names]
         modules += [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
-        assert {module for module in modules if module.split(".")[0] not in allowed} == set(), \
-            script.name
+        outside = [module for module in modules if module.split(".")[0] not in allowed]
+        assert outside == [], script.name

@@ -3,14 +3,12 @@ command imports only the modules it runs."""
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import fussforest
+from conftest import SRC
 from fussforest import bijection, exact, series, trees, verify
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The public names, pinned by the submodule that defines each: a name added,
 # dropped or moved is a change to the API.
