@@ -36,8 +36,9 @@ source tree.
 
 `--src` imports the package from another checkout's `src/` (the default is
 this checkout's), so one copy of this script times a parent commit and its
-change alike.  Compare two files layer by layer, min against min: a change
-shows only where it is larger than the spread of one commit's own runs.
+change alike; a DIR without `fussforest/__init__.py` is a usage error.
+Compare two files layer by layer, min against min: a change shows only
+where it is larger than the spread of one commit's own runs.
 """
 
 import argparse
@@ -218,6 +219,10 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     src = args.src.resolve()
+    # Else the import would fall through to whatever PYTHONPATH holds, and the
+    # file would name this checkout's commit for another's package.
+    if not (src / "fussforest" / "__init__.py").is_file():
+        parser.error(f"--src {args.src} holds no fussforest/__init__.py")
     sys.path.insert(0, str(src))
     cpu = _pin()
     runs = _layers()

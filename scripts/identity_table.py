@@ -21,15 +21,18 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=12)
     parser.add_argument("--m", type=int, default=2, help="component count for the forest identities")
     args = parser.parse_args()
+    # One sweep over n per column and side, read in lockstep.
+    try:
+        sweeps = [(identity_sides(ident, Side.LHS, m), identity_sides(ident, Side.RHS, m))
+                  for ident, m in ((Identity.TERNARY, 1), (Identity.TERNARY_FOREST, args.m),
+                                   (Identity.QUINARY_FOREST, args.m), (Identity.QUINARY, 1))]
+    except ValueError as error:  # a bound below its least: a usage error
+        parser.error(str(error))
 
     header = (f"{'n':>3} | {'ternary l=r':>14} | {'t-forest l=r':>16} "
               f"| {'q-forest l=r':>16} | {'quinary l=r':>14}")
     print(header)
     print("-" * len(header))
-    # One sweep over n per column and side, read in lockstep.
-    sweeps = [(identity_sides(ident, Side.LHS, m), identity_sides(ident, Side.RHS, m))
-              for ident, m in ((Identity.TERNARY, 1), (Identity.TERNARY_FOREST, args.m),
-                               (Identity.QUINARY_FOREST, args.m), (Identity.QUINARY, 1))]
     for n in range(args.n_max + 1):
         cells = []
         for lhs_sides, rhs_sides in sweeps:

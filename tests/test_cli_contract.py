@@ -1,4 +1,4 @@
-"""The CLI contract: each row of cli_contract.json, run as `python -m fussforest`.
+r"""The CLI contract: each row of cli_contract.json, run as `python -m fussforest`.
 
 A row gives the argv and what goes in: "stdin" and "files" (written to the
 row's own working directory), each a text, a {"stdout_of": row} or a list
@@ -9,6 +9,13 @@ such as /dev/full. It gives what comes out: "exit" (0 if absent), stderr as
 "stderr" exactly or as "stderr_match", a pattern it must match whole, and
 captured stdout as "stdout" exactly or by its "sha256" ("" if neither).
 "why" says what a row is there for.
+
+The table is read as ASCII, so a byte above 0x7f is written \u00XX, as the
+rows that feed byte 0xff write \u00ff. A row with neither "stderr" nor
+"stderr_match" leaves stderr unchecked, as argparse's own errors, whose
+text varies by Python version, need. A range error's row states only its
+shape, "error: [^\n]*\n": its text has one home, BELOW_LEAST in
+test_shared.py.
 
 Nothing here imports fussforest, so the rows test the package that
 `python -m fussforest` finds: the checkout under PYTHONPATH=src, or the

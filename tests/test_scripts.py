@@ -3,6 +3,7 @@
 import ast
 import json
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,13 @@ def test_identity_table_prints_matching_sides():
     assert "MISMATCH" not in proc.stdout
 
 
+def test_identity_table_refuses_a_bound_below_its_least():
+    proc = _run("identity_table.py", "--m", "0")
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    # The message itself is pinned once, as a row of BELOW_LEAST.
+    assert len(re.findall(r"^identity_table\.py: error: [^\n]*$", proc.stderr, re.M)) == 1
+
+
 def test_bench_layers_times_every_layer_and_checks_its_output(tmp_path):
     proc = _run("bench_layers.py", "probe", "--repeats", "1", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -39,6 +47,15 @@ def test_bench_layers_times_every_layer_and_checks_its_output(tmp_path):
         assert list(made["layers"]) == LAYERS
         for name, layer in made["layers"].items():
             assert 0 < layer["min_s"] <= layer["median_s"] and layer["matches"], name
+
+
+def test_bench_layers_refuses_a_src_without_the_package(tmp_path):
+    # Else the import falls through to PYTHONPATH, which times another package
+    # under this --src's commit.
+    proc = _run("bench_layers.py", "probe", "--src", str(tmp_path), "--repeats", "1",
+                "--out", str(tmp_path))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+    assert list(tmp_path.glob("BENCH_layers_*.json")) == []
 
 
 def test_scripts_import_only_the_standard_library_and_fussforest():
