@@ -172,6 +172,21 @@ def _stdin(data: bytes):
     return io.TextIOWrapper(io.BytesIO(data), encoding="ascii")
 
 
+@pytest.mark.parametrize("data, offset, byte", [
+    (b"(L L)\n\xff\n", 6, "0xff"),
+], ids=["stdin-xff"])
+def test_map_non_ascii_byte_is_a_parse_error_from_file_and_stdin(
+        capsys, monkeypatch, data, offset, byte):
+    # Stdin is read through its byte buffer, whatever its text encoding, so a
+    # byte an ASCII decoder would reject is a parse error naming its value.
+    # The file and UTF-8 cases are rows map-non-ascii-from-file,
+    # map-utf8-from-file and map-utf8-from-stdin of cli_contract.json.
+    monkeypatch.setattr("sys.stdin", _stdin(data))
+    code, out, err = run(capsys, "map", "--direction", "b2t")
+    assert code == EXIT_PARSE and out == ""
+    assert err == f"error: offset {offset}: expected 'L' or '(', found byte {byte}\n"
+
+
 @pytest.mark.parametrize("text, exit_code", [
     ("(L L)\n(L x)\n", EXIT_PARSE),
     ("(L L)\n(0: 0 0 0)\n", EXIT_FAMILY),
